@@ -77,6 +77,7 @@ inline constexpr const char* kRegistered[] = {
     "ml.sparsepoly.membership_queries",  // counter
     "ml.sparsepoly.runs",  // counter
     "ml.sparsepoly.terms",  // counter
+    "ml.xor.fit_seconds",  // timer
     "oracle.batch.calls",  // counter
     "oracle.batch.elements",  // counter
     "oracle.batch.size",  // histogram

@@ -1,6 +1,11 @@
 // Tests for the empirical XOR-PUF modeling attack (Ruehrmair et al. [8]).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+
 #include "ml/xor_model.hpp"
 #include "puf/crp.hpp"
 #include "puf/xor_arbiter.hpp"
@@ -13,6 +18,169 @@ using pitfalls::puf::CrpSet;
 using pitfalls::puf::XorArbiterPuf;
 using pitfalls::support::BitVec;
 using pitfalls::support::Rng;
+
+// The scalar XorModelAttack::fit that preceded the vectorised one, kept
+// verbatim (member names included) as the reference the library's fit must
+// reproduce bit for bit.
+std::vector<std::vector<double>> reference_fit(
+    const XorModelConfig& config_, const std::vector<BitVec>& challenges,
+    const std::vector<int>& responses, const FeatureMap& features, Rng& rng,
+    XorModelResult* stats) {
+  const std::size_t m = challenges.size();
+  std::vector<std::vector<double>> X;
+  X.reserve(m);
+  for (const auto& c : challenges) X.push_back(features(c));
+  const std::size_t dim = X.front().size();
+  const std::size_t k = config_.chains;
+
+  auto accuracy_of = [&](const std::vector<std::vector<double>>& w) {
+    std::size_t agree = 0;
+    for (std::size_t s = 0; s < m; ++s) {
+      int product = 1;
+      for (const auto& chain : w) {
+        double score = 0.0;
+        for (std::size_t i = 0; i < dim; ++i) score += chain[i] * X[s][i];
+        product *= score < 0.0 ? -1 : +1;
+      }
+      if (product == responses[s]) ++agree;
+    }
+    return static_cast<double>(agree) / static_cast<double>(m);
+  };
+
+  std::vector<std::vector<double>> best_weights;
+  double best_accuracy = -1.0;
+  std::size_t best_iterations = 0;
+  std::size_t restarts_used = 0;
+
+  for (std::size_t restart = 0; restart < config_.restarts; ++restart) {
+    ++restarts_used;
+    // Fresh random initialisation.
+    std::vector<std::vector<double>> w(k, std::vector<double>(dim));
+    for (auto& chain : w)
+      for (auto& weight : chain)
+        weight = config_.init_scale * rng.gaussian();
+    std::vector<std::vector<double>> step(
+        k, std::vector<double>(dim, config_.init_step));
+    std::vector<std::vector<double>> prev_grad(k,
+                                               std::vector<double>(dim, 0.0));
+
+    std::size_t iter = 0;
+    for (; iter < config_.max_iters; ++iter) {
+      // Batch gradient of NLL = -sum log((1 + y*yhat)/2) with
+      // yhat = prod_j tanh(s_j), s_j = w_j . x.
+      std::vector<std::vector<double>> grad(k, std::vector<double>(dim, 0.0));
+      for (std::size_t s = 0; s < m; ++s) {
+        std::vector<double> t(k);
+        double yhat = 1.0;
+        for (std::size_t j = 0; j < k; ++j) {
+          double score = 0.0;
+          for (std::size_t i = 0; i < dim; ++i) score += w[j][i] * X[s][i];
+          t[j] = std::tanh(score);
+          yhat *= t[j];
+        }
+        const double y = static_cast<double>(responses[s]);
+        const double denom = 1.0 + y * yhat;
+        if (denom < 1e-9) continue;  // saturated wrong example: skip
+        const double coeff = -y / denom / static_cast<double>(m);
+        for (std::size_t j = 0; j < k; ++j) {
+          // d yhat / d s_j = (1 - t_j^2) * prod_{l != j} t_l
+          double others = 1.0;
+          for (std::size_t l = 0; l < k; ++l)
+            if (l != j) others *= t[l];
+          const double factor = coeff * (1.0 - t[j] * t[j]) * others;
+          for (std::size_t i = 0; i < dim; ++i)
+            grad[j][i] += factor * X[s][i];
+        }
+      }
+
+      // RProp update.
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t i = 0; i < dim; ++i) {
+          const double sign_product = grad[j][i] * prev_grad[j][i];
+          if (sign_product > 0.0)
+            step[j][i] = std::min(step[j][i] * config_.step_up,
+                                  config_.max_step);
+          else if (sign_product < 0.0)
+            step[j][i] = std::max(step[j][i] * config_.step_down,
+                                  config_.min_step);
+          if (grad[j][i] > 0.0)
+            w[j][i] -= step[j][i];
+          else if (grad[j][i] < 0.0)
+            w[j][i] += step[j][i];
+          prev_grad[j][i] = grad[j][i];
+        }
+      }
+
+      if ((iter & 15u) == 0 &&
+          accuracy_of(w) >= config_.target_train_accuracy)
+        break;
+    }
+
+    const double acc = accuracy_of(w);
+    if (acc > best_accuracy) {
+      best_accuracy = acc;
+      best_weights = w;
+      best_iterations = iter;
+    }
+    if (best_accuracy >= config_.target_train_accuracy) break;
+  }
+
+  if (stats != nullptr) {
+    stats->iterations = best_iterations;
+    stats->restarts_used = restarts_used;
+    stats->train_accuracy = best_accuracy;
+  }
+  return best_weights;
+}
+
+/// Fits with the library and the reference from the same seed and requires
+/// identical bits: weights, the stats, and the RNG draws consumed.
+void expect_fit_matches_reference(const XorModelConfig& config,
+                                  const CrpSet& train,
+                                  const FeatureMap& features,
+                                  std::uint64_t seed,
+                                  XorModelResult* stats_out = nullptr) {
+  Rng library_rng(seed);
+  XorModelResult library_stats;
+  const XorChainModel model =
+      XorModelAttack(config).fit(train.challenges(), train.responses(),
+                                 features, library_rng, &library_stats);
+  Rng reference_rng(seed);
+  XorModelResult reference_stats;
+  const std::vector<std::vector<double>> reference =
+      reference_fit(config, train.challenges(), train.responses(), features,
+                    reference_rng, &reference_stats);
+
+  ASSERT_EQ(model.weights().size(), reference.size());
+  for (std::size_t j = 0; j < reference.size(); ++j) {
+    ASSERT_EQ(model.weights()[j].size(), reference[j].size());
+    EXPECT_EQ(std::memcmp(model.weights()[j].data(), reference[j].data(),
+                          reference[j].size() * sizeof(double)),
+              0)
+        << "chain " << j;
+  }
+  EXPECT_EQ(library_stats.iterations, reference_stats.iterations);
+  EXPECT_EQ(library_stats.restarts_used, reference_stats.restarts_used);
+  EXPECT_EQ(std::memcmp(&library_stats.train_accuracy,
+                        &reference_stats.train_accuracy, sizeof(double)),
+            0);
+  EXPECT_EQ(library_rng(), reference_rng());
+  if (stats_out != nullptr) *stats_out = reference_stats;
+}
+
+std::vector<double> monomials_degree2(const BitVec& x) {
+  return monomial_features(x, 2);
+}
+
+/// Parity features scaled per coordinate. Unlike the +/-1 maps, its products
+/// w_i * phi_i round, so a fused multiply-add or a reordered sum changes
+/// the fit's bits.
+std::vector<double> scaled_parity(const BitVec& x) {
+  std::vector<double> phi = parity_with_bias(x);
+  for (std::size_t i = 0; i < phi.size(); ++i)
+    phi[i] *= 0.3 + 0.1 * static_cast<double>(i);
+  return phi;
+}
 
 TEST(XorChainModel, EvaluatesProductOfSigns) {
   // Two dictator chains: chain 0 = sign of phi_0, chain 1 = sign of phi_1.
@@ -128,6 +296,147 @@ TEST(XorAttack, ValidatesInputs) {
   EXPECT_THROW(attack.fit({}, {}, pm_with_bias, rng), std::invalid_argument);
   EXPECT_THROW(attack.fit({BitVec(4)}, {2}, pm_with_bias, rng),
                std::invalid_argument);
+}
+
+TEST(XorAttack, RejectsRaggedFeatureMatrix) {
+  // The second challenge maps to a shorter row than the first.
+  const FeatureMap ragged = [](const BitVec& x) {
+    return std::vector<double>(x.get(0) ? 2 : 3, 1.0);
+  };
+  Rng rng(2);
+  const XorModelAttack attack(XorModelConfig{});
+  EXPECT_THROW(attack.fit({BitVec::from_string("00"),
+                           BitVec::from_string("10")},
+                          {+1, -1}, ragged, rng),
+               std::invalid_argument);
+}
+
+TEST(XorAttack, RejectsZeroRestarts) {
+  XorModelConfig config;
+  config.restarts = 0;
+  Rng rng(3);
+  try {
+    (void)XorModelAttack(config).fit({BitVec(4)}, {+1}, pm_with_bias, rng);
+    FAIL() << "restarts == 0 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("restart"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(XorChainModel, EvalRejectsFeatureDimensionMismatch) {
+  // Weights of dimension 3, a feature map producing 4 features.
+  const XorChainModel model(2, {{1.0, 0.0, 0.0}}, [](const BitVec&) {
+    return std::vector<double>(4, 1.0);
+  });
+  EXPECT_THROW((void)model.eval_pm(BitVec(2)), std::invalid_argument);
+  EXPECT_THROW((void)model.soft_response(BitVec(2)), std::invalid_argument);
+}
+
+// The vectorised fit against the seed loop across the shapes that hit the
+// kernels' edges: m below, at and past a lane block, chain counts 1-3, a
+// feature dimension other than n + 1, features other than +/-1, one and
+// several restarts, and accuracy targets that are and are not reached.
+TEST(XorAttackBitIdentity, MatchesReferenceAcrossShapes) {
+  struct Features {
+    const char* name;
+    FeatureMap map;
+    std::size_t n;
+  };
+  const std::vector<Features> feature_maps = {
+      {"parity_with_bias", parity_with_bias, 64},
+      {"pm_with_bias", pm_with_bias, 64},
+      {"monomial_features(2)", monomials_degree2, 10},
+      {"scaled_parity", scaled_parity, 64}};
+  std::size_t reached = 0, missed = 0;
+  for (const Features& features : feature_maps) {
+    for (const std::size_t k : {1, 2, 3}) {
+      Rng puf_rng(40 + k);
+      const XorArbiterPuf puf =
+          XorArbiterPuf::independent(features.n, k, 0.0, puf_rng);
+      for (const std::size_t m : {1, 63, 64, 65, 257, 2000}) {
+        Rng collect(50 + m);
+        const CrpSet train = CrpSet::collect_uniform(puf, m, collect);
+        for (const std::size_t restarts : {1, 3}) {
+          SCOPED_TRACE(std::string(features.name) + " k=" +
+                       std::to_string(k) + " m=" + std::to_string(m) +
+                       " restarts=" + std::to_string(restarts));
+          XorModelConfig config;
+          config.chains = k;
+          config.restarts = restarts;
+          config.max_iters = 34;  // accuracy checks at 0, 16 and 32
+          config.target_train_accuracy = 0.9;
+          XorModelResult stats;
+          expect_fit_matches_reference(config, train, features.map,
+                                       60 + k + m, &stats);
+          if (stats.train_accuracy >= config.target_train_accuracy)
+            ++reached;
+          else
+            ++missed;
+        }
+      }
+    }
+  }
+  // Both exits of the restart loop ran.
+  EXPECT_GT(reached, 0u);
+  EXPECT_GT(missed, 0u);
+}
+
+TEST(XorAttackBitIdentity, MatchesReferenceWhenGradientCancels) {
+  // RProp reads only the gradient's signs, so a rounding-level change to
+  // the kernels (a fused multiply-add, say) rarely reaches the weights. Here
+  // it does: with zero weights every factor is -y/m, and six samples with
+  // one feature and alternating labels add +/-round(0.7/6) pairs that cancel
+  // to exactly 0 in the scalar order, so the weights never move. A fused
+  // multiply-add leaves the rounding error of 0.7/6 behind and moves them.
+  CrpSet train;
+  for (std::size_t s = 0; s < 6; ++s) train.add(BitVec(3), s % 2 ? -1 : +1);
+  const FeatureMap constant = [](const BitVec&) {
+    return std::vector<double>{0.7};
+  };
+  XorModelConfig config;
+  config.chains = 1;
+  config.restarts = 1;
+  config.max_iters = 20;
+  config.init_scale = 0.0;
+  XorModelResult stats;
+  expect_fit_matches_reference(config, train, constant, 81, &stats);
+  EXPECT_EQ(stats.iterations, config.max_iters);
+}
+
+TEST(XorAttackBitIdentity, MatchesReferenceWhenSamplesSaturate) {
+  // With init_scale 50 the initial scores reach hundreds, tanh rounds to
+  // exactly +/-1 and every wrongly predicted sample has denom == 0, so the
+  // gradient skips it.
+  Rng puf_rng(71);
+  const XorArbiterPuf puf = XorArbiterPuf::independent(64, 2, 0.0, puf_rng);
+  Rng collect(72);
+  const CrpSet train = CrpSet::collect_uniform(puf, 300, collect);
+  XorModelConfig config;
+  config.chains = 2;
+  config.restarts = 2;
+  config.max_iters = 40;
+  config.init_scale = 50.0;
+
+  // Check that the initial weights do saturate a wrong sample.
+  Rng init_rng(73);
+  std::vector<std::vector<double>> w(2, std::vector<double>(65));
+  for (auto& chain : w)
+    for (auto& weight : chain) weight = config.init_scale * init_rng.gaussian();
+  std::size_t skipped = 0;
+  for (std::size_t s = 0; s < train.size(); ++s) {
+    const std::vector<double> phi = parity_with_bias(train.challenge(s));
+    double yhat = 1.0;
+    for (const auto& chain : w) {
+      double score = 0.0;
+      for (std::size_t i = 0; i < phi.size(); ++i) score += chain[i] * phi[i];
+      yhat *= std::tanh(score);
+    }
+    if (1.0 + train.response(s) * yhat < 1e-9) ++skipped;
+  }
+  ASSERT_GT(skipped, 0u);
+
+  expect_fit_matches_reference(config, train, parity_with_bias, 73);
 }
 
 }  // namespace
