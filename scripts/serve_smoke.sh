@@ -14,8 +14,15 @@
 #   4. budget-refill continuation: a lockdown-tripped attack session is
 #      continued with a larger query budget, and the continuation outcome
 #      must be byte-identical to an uninterrupted run with that budget
+#   5. golden streams: the mixed batch, an edge-case script (query budgets
+#      0/1/2, lockdown amid drops, bursts with metastability, auth and query
+#      at --sigma 0 and 0.3) and both refill legs must reproduce the streams
+#      committed under tests/golden/serve byte for byte, so the outcome
+#      values themselves are pinned, not only their stability
 #
 # Usage: serve_smoke.sh <build_dir> [work_dir]
+# Exits 0 when every leg passes, 1 on a failure, 2 on usage errors, and 77
+# (the ctest SKIP_RETURN_CODE) when python3 is unavailable.
 set -u
 
 build=${1:?usage: serve_smoke.sh <build_dir> [work_dir]}
@@ -23,10 +30,15 @@ work=${2:-serve_smoke_work}
 served=$(cd "$build" && pwd)/tools/served/pitfalls-served
 script_dir=$(cd "$(dirname "$0")" && pwd)
 check="python3 $script_dir/check_serve_stream.py"
+golden=$script_dir/../tests/golden/serve
 
 if [ ! -x "$served" ]; then
   echo "serve_smoke: missing daemon binary $served" >&2
   exit 2
+fi
+if ! command -v python3 > /dev/null 2>&1; then
+  echo "serve_smoke: python3 unavailable, skipping"
+  exit 77
 fi
 
 rm -rf "$work"
@@ -53,6 +65,22 @@ cat > "$work/jobs.txt" <<EOF
 {"type":"run"}
 {"type":"job","id":"a5","kind":"auth","token":888888,"seed":13,"rounds":6}
 {"type":"job","id":"q4","kind":"query","token":999997,"seed":1,"challenges":["$C3"]}
+{"type":"drain"}
+EOF
+
+# Edge cases, valid jobs only (an error line embeds the failing check's
+# file:line, which differs between checkouts): e0/e1 starve with 0 and 1
+# CRPs, e2 locks down after 2, e3 locks down amid drops, e4 completes
+# through heavy drops, bursts and metastability.
+cat > "$work/edge.txt" <<EOF
+{"type":"job","id":"e0","kind":"attack","token":4242,"seed":21,"budget":50,"eval":40,"policy":{"query_budget":0}}
+{"type":"job","id":"e1","kind":"attack","token":4242,"seed":22,"budget":50,"eval":40,"policy":{"query_budget":1}}
+{"type":"job","id":"e2","kind":"attack","token":4242,"seed":23,"budget":50,"eval":40,"policy":{"query_budget":2}}
+{"type":"job","id":"e3","kind":"attack","token":271828,"seed":24,"budget":90,"eval":80,"policy":{"flip_rate":0.1,"drop_rate":0.3,"query_budget":90}}
+{"type":"run"}
+{"type":"job","id":"e4","kind":"attack","token":314159,"seed":25,"budget":60,"eval":80,"policy":{"drop_rate":0.6,"burst_rate":0.05,"burst_length":4,"metastable_sigma":0.2}}
+{"type":"job","id":"e5","kind":"auth","token":161803,"seed":26,"rounds":24}
+{"type":"job","id":"e6","kind":"query","token":161803,"seed":27,"challenges":["$C1","$C2"]}
 {"type":"drain"}
 EOF
 
@@ -159,6 +187,34 @@ else
   diff "$work/continue_outcome.txt" "$work/fresh_outcome.txt" >&2
   status=1
 fi
+
+# --- 5. golden streams ---------------------------------------------------
+echo "== streams byte-identical to tests/golden/serve =="
+for sigma in 0 0.3; do
+  if ! "$served" --tokens 1000000 --seed 42 --sigma "$sigma" \
+      < "$work/edge.txt" > "$work/edge_sigma$sigma.out"; then
+    echo "serve_smoke: edge script failed at --sigma $sigma" >&2
+    exit 1
+  fi
+  if ! $check "$work/edge_sigma$sigma.out" --expect-outcomes 7; then
+    echo "serve_smoke: edge stream failed schema validation" >&2
+    exit 1
+  fi
+done
+check_golden() {  # <stream> <golden file name>
+  if cmp -s "$golden/$2" "$1"; then
+    echo "  $2: byte-identical"
+  else
+    echo "serve_smoke: $1 differs from golden $2" >&2
+    diff "$golden/$2" "$1" | head -10 >&2
+    status=1
+  fi
+}
+check_golden "$work/t1.out" mixed.out
+check_golden "$work/edge_sigma0.out" edge_sigma0.out
+check_golden "$work/edge_sigma0.3.out" edge_sigma0.3.out
+check_golden "$work/lockdown.out" lockdown.out
+check_golden "$work/continue.out" continue.out
 
 if [ "$status" = 0 ]; then
   echo "serve_smoke: all legs passed"

@@ -1,6 +1,5 @@
 #include "ml/logistic.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "obs/trace.hpp"
@@ -31,19 +30,7 @@ LogisticResult LogisticRegression::fit(
 
   double loss = 0.0;
   std::size_t iter = 0;
-  bool deadline_hit = false;
-  // Wall-clock budget: max_seconds models the attacker's real time limit, so
-  // this read is intentionally nondeterministic (same contract as
-  // robust::Deadline).
-  const auto fit_start = std::chrono::steady_clock::now();  // lint:wallclock-ok
   for (; iter < config_.max_iters; ++iter) {
-    if (config_.max_seconds != std::numeric_limits<double>::infinity() &&
-        std::chrono::duration<double>(  // lint:wallclock-ok
-            std::chrono::steady_clock::now() - fit_start)
-                .count() >= config_.max_seconds) {
-      deadline_hit = true;
-      break;
-    }
     // Negative log-likelihood with +/-1 labels: sum log(1 + exp(-y w.x)).
     std::vector<double> grad(dim, 0.0);
     loss = 0.0;
@@ -83,13 +70,11 @@ LogisticResult LogisticRegression::fit(
   registry.counter("ml.logistic.fits").add(1);
   registry.counter("ml.logistic.iterations").add(iter);
   registry.gauge("ml.logistic.final_loss").set(loss);
-  if (deadline_hit) registry.counter("ml.logistic.deadline_hits").add(1);
 
   LogisticResult result;
   result.weights = std::move(w);
   result.iterations = iter;
   result.final_loss = loss;
-  result.deadline_hit = deadline_hit;
   return result;
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "ml/linear_model.hpp"
@@ -25,16 +24,12 @@ struct LogisticConfig {
   double min_step = 1e-8;
   double max_step = 10.0;
   double tolerance = 1e-6;   // stop when the gradient norm falls below this
-  /// Wall-clock deadline checked at every iteration boundary; when it
-  /// expires fit() stops and returns the weights so far with deadline_hit.
-  double max_seconds = std::numeric_limits<double>::infinity();
 };
 
 struct LogisticResult {
   std::vector<double> weights;
   std::size_t iterations = 0;
   double final_loss = 0.0;
-  bool deadline_hit = false;  // max_seconds expired before convergence
 };
 
 class LogisticRegression {

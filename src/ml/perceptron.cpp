@@ -1,6 +1,5 @@
 #include "ml/perceptron.hpp"
 
-#include <chrono>
 #include <numeric>
 
 #include "obs/trace.hpp"
@@ -29,28 +28,11 @@ PerceptronResult Perceptron::fit(const std::vector<std::vector<double>>& X,
   std::size_t total_mistakes = 0;
   std::size_t epochs = 0;
   bool converged = false;
-  bool deadline_hit = false;
 
   std::vector<std::size_t> order(X.size());
   std::iota(order.begin(), order.end(), 0);
 
-  // Wall-clock budget: max_seconds models the attacker's real time limit, so
-  // this read is intentionally nondeterministic (same contract as
-  // robust::Deadline).
-  const auto start = std::chrono::steady_clock::now();  // lint:wallclock-ok
-  const auto past_deadline = [&] {
-    return config_.max_seconds !=
-               std::numeric_limits<double>::infinity() &&
-           std::chrono::duration<double>(  // lint:wallclock-ok
-               std::chrono::steady_clock::now() - start)
-                   .count() >= config_.max_seconds;
-  };
-
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
-    if (past_deadline()) {
-      deadline_hit = true;
-      break;
-    }
     ++epochs;
     if (config_.shuffle_each_epoch) rng.shuffle(order);
     std::size_t epoch_mistakes = 0;
@@ -78,15 +60,11 @@ PerceptronResult Perceptron::fit(const std::vector<std::vector<double>>& X,
   registry.counter("ml.perceptron.mistakes").add(total_mistakes);
   registry.counter("ml.perceptron.epochs").add(epochs);
 
-  if (deadline_hit)
-    registry.counter("ml.perceptron.deadline_hits").add(1);
-
   PerceptronResult result;
   result.weights = config_.averaged ? w_sum : w;
   result.mistakes = total_mistakes;
   result.epochs = epochs;
   result.converged = converged;
-  result.deadline_hit = deadline_hit;
   return result;
 }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "ml/linear_model.hpp"
@@ -24,9 +23,6 @@ struct PerceptronConfig {
   double margin = 0.0;           // update when y * score <= margin
   double learning_rate = 1.0;
   bool shuffle_each_epoch = true;
-  /// Wall-clock deadline checked at every epoch boundary; when it expires
-  /// fit() stops and returns the weights so far with deadline_hit set.
-  double max_seconds = std::numeric_limits<double>::infinity();
 };
 
 struct PerceptronResult {
@@ -34,7 +30,6 @@ struct PerceptronResult {
   std::size_t mistakes = 0;   // total online updates across all epochs
   std::size_t epochs = 0;     // epochs actually run
   bool converged = false;     // an epoch finished with zero mistakes
-  bool deadline_hit = false;  // max_seconds expired before convergence
 };
 
 class Perceptron {

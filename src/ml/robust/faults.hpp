@@ -46,9 +46,9 @@ class QueryBudgetExhaustedError final : public OracleFaultError {
   using OracleFaultError::OracleFaultError;
 };
 
-/// A wall-clock deadline expired mid-learning (thrown by the robust teacher
-/// wrappers, never by FaultyMembershipOracle itself).
-class DeadlineExceededError final : public OracleFaultError {
+/// A learner's iteration cap expired mid-learning (thrown by the robust L*
+/// teacher wrapper, never by FaultyMembershipOracle itself).
+class IterationCapError final : public OracleFaultError {
  public:
   using OracleFaultError::OracleFaultError;
 };
@@ -81,6 +81,13 @@ struct FaultConfig {
   /// spent, every query throws QueryBudgetExhaustedError.
   std::size_t query_budget = std::numeric_limits<std::size_t>::max();
 };
+
+/// Throws std::invalid_argument unless `config` is a channel the fault
+/// layer can model: flip_rate in [0, 0.5), burst_rate and drop_rate in
+/// [0, 1), metastable_sigma >= 0, burst_length > 0. The oracle constructor
+/// and the serve plane's job parser share it, so a spec is refused at
+/// submission exactly when its channel could not be built.
+void validate(const FaultConfig& config);
 
 /// Decorator injecting the FaultConfig defects into any MembershipOracle.
 /// All fault events are mirrored into the `robust.faults.*` metrics.

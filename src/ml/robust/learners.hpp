@@ -3,18 +3,20 @@
 //
 // Each robust_* entry point drives one src/ml learner end-to-end through
 // oracle access: it first secures a held-out evaluation set, then a
-// training set, then fits under an iteration cap and a wall-clock deadline.
-// Whatever goes wrong — budget lockdown mid-collection, a deadline expiring
-// mid-fit, a noise floor the learner cannot beat — the run returns a
-// LearnOutcome with its best-so-far hypothesis and held-out accuracy
-// instead of throwing. That makes the paper's pitfall measurable: the
-// benches sweep η × budget and report where each learner's security
-// conclusion flips.
+// training set, then fits under an iteration cap. Whatever goes wrong —
+// budget lockdown mid-collection, an iteration cap tripping, a noise floor
+// the learner cannot beat — the run returns a LearnOutcome with its
+// best-so-far hypothesis and held-out accuracy instead of throwing. That
+// makes the paper's pitfall measurable: the benches sweep η × budget and
+// report where each learner's security conclusion flips. Every stop is a
+// function of the queries and iterations spent, never of wall time.
 //
 // Composition: pass the oracle you want the learner to see. A bare
 // FaultyMembershipOracle models the raw channel; wrap it in a
 // MajorityVoteOracle to model an attacker who stabilises CRPs first.
 #pragma once
+
+#include <vector>
 
 #include "boolfn/anf.hpp"
 #include "boolfn/ltf.hpp"
@@ -35,13 +37,32 @@ struct RobustLearnConfig {
   /// Learner iteration cap (epochs / gradient iterations / Chow correction
   /// rounds / L* equivalence rounds). 0 keeps the learner's default.
   std::size_t max_iterations = 0;
-  /// Wall-clock deadline over the whole run (collection + fit).
-  double deadline_seconds = std::numeric_limits<double>::infinity();
   /// Held-out accuracy at or above which the run counts as converged;
   /// below it a completed run reports noise_ceiling.
   double target_accuracy = 0.9;
   RetryPolicy retry{};
 };
+
+/// Uniform-challenge examples pulled through an oracle, with the defect
+/// bookkeeping a degraded run reports.
+struct Examples {
+  std::vector<BitVec> challenges;
+  std::vector<int> responses;
+  /// Challenges abandoned after retry exhaustion; their budget stays spent.
+  std::size_t dropped = 0;
+  /// The lockdown tripped: the oracle will never answer again.
+  bool budget_hit = false;
+};
+
+/// The budgeted random-example adversary: draw up to `m` uniform
+/// challenges (n coins of `rng` each) and query each through
+/// query_with_retry. A challenge whose attempts all drop is abandoned and
+/// the next one is drawn fresh; the lockdown ends collection with whatever
+/// was gathered. Strictly serial — part of the determinism contract: the
+/// example stream is a function of (rng, oracle) alone, never of the
+/// thread pool.
+Examples collect_examples(MembershipOracle& oracle, std::size_t m,
+                          const RetryPolicy& retry, support::Rng& rng);
 
 /// Perceptron over an explicit feature map (parity features make an
 /// arbiter PUF exactly separable — Table I's first row).
@@ -77,18 +98,18 @@ LearnOutcome<boolfn::AnfPolynomial> robust_anf(MembershipOracle& oracle,
                                                const RobustLearnConfig& config,
                                                support::Rng& rng);
 
-/// Budget/deadline guard around any DfaTeacher: counts membership queries
-/// against `mq_budget` and throws QueryBudgetExhaustedError /
-/// DeadlineExceededError on violation. Also remembers the last hypothesis
-/// it saw an equivalence query for — the best-so-far a degraded L* run
-/// surfaces.
+/// Budget guard around any DfaTeacher: counts membership queries against
+/// `mq_budget` and equivalence rounds against `eq_round_cap`, throwing
+/// QueryBudgetExhaustedError / IterationCapError on violation. Also
+/// remembers the last hypothesis it saw an equivalence query for — the
+/// best-so-far a degraded L* run surfaces.
 class BudgetedDfaTeacher final : public DfaTeacher {
  public:
   /// eq_round_cap = 0 means no cap. Queries and rounds are tracked on this
   /// wrapper (mq_used/eq_rounds), NOT mirrored into the global DFA-oracle
   /// counters — the inner teacher already counts there.
   BudgetedDfaTeacher(DfaTeacher& inner, std::size_t mq_budget,
-                     std::size_t eq_round_cap, const Deadline& deadline);
+                     std::size_t eq_round_cap);
 
   std::size_t alphabet_size() const override;
   bool member(const Word& word) override;
@@ -104,15 +125,14 @@ class BudgetedDfaTeacher final : public DfaTeacher {
   DfaTeacher* inner_;
   std::size_t mq_budget_;
   std::size_t eq_round_cap_;
-  const Deadline* deadline_;
   std::size_t mq_used_ = 0;
   std::size_t eq_rounds_ = 0;
   std::optional<Dfa> last_hypothesis_;
 };
 
-/// L* under a membership-query budget (train_queries), an equivalence-round
-/// cap (max_iterations) and the wall-clock deadline. target_accuracy is
-/// unused: with an accepting teacher the run is exact, otherwise degraded.
+/// L* under a membership-query budget (train_queries) and an
+/// equivalence-round cap (max_iterations). target_accuracy is unused: with
+/// an accepting teacher the run is exact, otherwise degraded.
 LearnOutcome<Dfa> robust_lstar(DfaTeacher& teacher,
                                const RobustLearnConfig& config);
 

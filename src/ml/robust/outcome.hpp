@@ -6,14 +6,10 @@
 // conclusion survives the realistic channel.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
-
-#include "support/require.hpp"
 
 namespace pitfalls::ml::robust {
 
@@ -23,8 +19,9 @@ enum class LearnStatus {
   /// The oracle's query budget tripped before the learner had what it
   /// needed; best_hypothesis is trained on whatever was collected.
   budget_exhausted,
-  /// The wall-clock deadline (or iteration cap) expired mid-fit.
-  deadline_exceeded,
+  /// The learner's iteration cap expired before it finished (L*'s
+  /// equivalence-round cap).
+  iteration_cap,
   /// The learner ran to completion inside its budgets but the hypothesis
   /// still misses the target — the channel's noise floor won.
   noise_ceiling,
@@ -36,8 +33,8 @@ constexpr const char* to_string(LearnStatus status) {
       return "converged";
     case LearnStatus::budget_exhausted:
       return "budget_exhausted";
-    case LearnStatus::deadline_exceeded:
-      return "deadline_exceeded";
+    case LearnStatus::iteration_cap:
+      return "iteration_cap";
     case LearnStatus::noise_ceiling:
       return "noise_ceiling";
   }
@@ -59,45 +56,6 @@ struct LearnOutcome {
   std::map<std::string, double> diagnostics;
 
   bool ok() const { return status == LearnStatus::converged; }
-};
-
-/// Wall-clock deadline with an "infinite" default. Also models iteration
-/// caps' sibling: robust wrappers check it at every loop boundary.
-///
-/// This is the one deliberate wall-clock dependency outside src/obs: a
-/// deadline_exceeded outcome is MEANT to depend on real time (the paper's
-/// realistic attacker has a time budget), so these reads carry the
-/// wallclock suppression tag rather than being routed through an injected
-/// clock.
-class Deadline {
- public:
-  explicit Deadline(
-      double seconds = std::numeric_limits<double>::infinity())
-      : seconds_(seconds),
-        start_(std::chrono::steady_clock::now()) {  // lint:wallclock-ok
-    PITFALLS_REQUIRE(seconds_ >= 0.0, "deadline seconds must be >= 0");
-  }
-
-  double elapsed_seconds() const {
-    return std::chrono::duration<double>(  // lint:wallclock-ok
-               std::chrono::steady_clock::now() - start_)  // lint:wallclock-ok
-        .count();
-  }
-  bool expired() const {
-    return seconds_ != std::numeric_limits<double>::infinity() &&
-           elapsed_seconds() >= seconds_;
-  }
-  /// Seconds left (never negative); infinity for the no-deadline default.
-  double remaining_seconds() const {
-    if (seconds_ == std::numeric_limits<double>::infinity())
-      return seconds_;
-    const double left = seconds_ - elapsed_seconds();
-    return left > 0.0 ? left : 0.0;
-  }
-
- private:
-  double seconds_;
-  std::chrono::steady_clock::time_point start_;  // lint:wallclock-ok
 };
 
 }  // namespace pitfalls::ml::robust

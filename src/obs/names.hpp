@@ -59,7 +59,6 @@ inline constexpr const char* kRegistered[] = {
     "ml.lmn.learn_seconds",  // timer
     "ml.lmn.samples",  // counter
     "ml.lmn.terms_kept",  // counter
-    "ml.logistic.deadline_hits",  // counter
     "ml.logistic.final_loss",  // gauge
     "ml.logistic.fit_seconds",  // timer
     "ml.logistic.fits",  // counter
@@ -68,7 +67,6 @@ inline constexpr const char* kRegistered[] = {
     "ml.lstar.rounds",  // counter
     "ml.lstar.runs",  // counter
     "ml.lstar.states",  // gauge
-    "ml.perceptron.deadline_hits",  // counter
     "ml.perceptron.epochs",  // counter
     "ml.perceptron.fit_seconds",  // timer
     "ml.perceptron.fits",  // counter

@@ -12,19 +12,6 @@ namespace pitfalls::serve {
 
 namespace {
 
-std::string error_document(const std::string& id, const std::string& message) {
-  obs::JsonWriter writer;
-  writer.begin_object();
-  writer.key("type").value("error");
-  if (id.empty())
-    writer.key("id").null_value();
-  else
-    writer.key("id").value(id);
-  writer.key("message").value(message);
-  writer.end_object();
-  return writer.str();
-}
-
 std::uint64_t kill_after_from_env() {
   const char* env = std::getenv("PITFALLS_SERVE_KILL_AFTER_JOBS");
   if (env == nullptr) return 0;
@@ -39,8 +26,7 @@ std::uint64_t kill_after_from_env() {
 Daemon::Daemon(const DaemonConfig& config)
     : config_(config),
       fleet_(config.fleet),
-      policy_(config.checkpoint_path, fleet_.fingerprint()),
-      scheduler_(fleet_, policy_),
+      scheduler_(fleet_, config.checkpoint_path),
       kill_after_jobs_(kill_after_from_env()) {
   if (!config_.checkpoint_path.empty())
     session_ = std::make_unique<store::CheckpointSession>(
@@ -148,14 +134,14 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
     request = obs::JsonValue::parse(line);
   } catch (const std::exception& error) {
     registry.counter("serve.wire.errors").add();
-    channel.write_line(error_document("", error.what()));
+    channel.write_line(error_line("", error.what()));
     return Request::kContinue;
   }
   const obs::JsonValue* type = request.find("type");
   if (!request.is_object() || type == nullptr || !type->is_string()) {
     registry.counter("serve.wire.errors").add();
     channel.write_line(
-        error_document("", "request must be an object with a \"type\""));
+        error_line("", "request must be an object with a \"type\""));
     return Request::kContinue;
   }
   registry.counter("serve.wire.requests").add();
@@ -172,7 +158,7 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
                        "duplicate job id");
     } catch (const std::exception& error) {
       registry.counter("serve.wire.errors").add();
-      channel.write_line(error_document(spec.id, error.what()));
+      channel.write_line(error_line(spec.id, error.what()));
       return Request::kContinue;
     }
     Pending pending;
@@ -187,7 +173,7 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
         // refusing is the only safe answer (serving it would silently
         // attribute another spec's outcome to this one).
         registry.counter("serve.wire.errors").add();
-        channel.write_line(error_document(
+        channel.write_line(error_line(
             pending.spec.id,
             "journaled outcome was produced by a different spec"));
         return Request::kContinue;
@@ -216,7 +202,7 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
 
   registry.counter("serve.wire.errors").add();
   channel.write_line(
-      error_document("", "unknown request type: " + type->string_value));
+      error_line("", "unknown request type: " + type->string_value));
   return Request::kContinue;
 }
 

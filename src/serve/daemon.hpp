@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/oracle_policy.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/token_fleet.hpp"
 #include "serve/wire.hpp"
@@ -82,7 +81,6 @@ class Daemon {
 
   DaemonConfig config_;
   TokenFleet fleet_;
-  OraclePolicy policy_;
   JobScheduler scheduler_;
   std::unique_ptr<store::CheckpointSession> session_;
   std::vector<Pending> pending_;

@@ -50,11 +50,7 @@ double rate_or(const obs::JsonValue& object, std::string_view name,
   PITFALLS_REQUIRE(value->is_number(),
                    "policy field \"" + std::string(name) +
                        "\" must be a number");
-  const double rate = value->number_value;
-  PITFALLS_REQUIRE(rate >= 0.0,
-                   "policy field \"" + std::string(name) +
-                       "\" must be non-negative");
-  return rate;
+  return value->number_value;
 }
 
 ml::robust::FaultConfig parse_policy(const obs::JsonValue& policy) {
@@ -68,9 +64,9 @@ ml::robust::FaultConfig parse_policy(const obs::JsonValue& policy) {
   faults.drop_rate = rate_or(policy, "drop_rate", 0.0);
   faults.query_budget = static_cast<std::size_t>(u64_or(
       policy, "query_budget", std::numeric_limits<std::size_t>::max()));
-  PITFALLS_REQUIRE(faults.flip_rate <= 1.0 && faults.burst_rate <= 1.0 &&
-                       faults.drop_rate <= 1.0,
-                   "policy rates must lie in [0, 1]");
+  // The fault layer's own range check: a spec is refused here exactly when
+  // its channel could not be built at run time.
+  ml::robust::validate(faults);
   return faults;
 }
 

@@ -7,10 +7,10 @@
 //   * auth   — `rounds` lockdown-style authentication rounds (§ lockdown.hpp
 //              protocol shape: half the challenge from the verifier nonce,
 //              half from the token nonce; no chosen challenges).
-//   * attack — a modeling attack: collect `budget` chosen-challenge CRPs
-//              through the per-job oracle policy (serve/oracle_policy.hpp),
-//              fit a logistic model in the parity representation, score it
-//              on `eval` fresh CRPs.
+//   * attack — a modeling attack: collect `budget` uniform-challenge CRPs
+//              through the job's fault channel with ml::robust's budgeted
+//              collection loop, fit a logistic model in the parity
+//              representation, score it on `eval` fresh CRPs.
 //   * query  — raw chosen-challenge evaluation of an explicit challenge
 //              block (the §11 batch plane on the wire).
 //
@@ -51,7 +51,8 @@ struct JobSpec {
   std::size_t budget = 0;  // training CRPs to collect
   std::size_t eval = 0;    // fresh CRPs the hypothesis is scored on
   /// Per-job oracle policy: the §9 fault channel between the attacker and
-  /// the token (eta, bursts, drops, lifetime query budget).
+  /// the token (eta, bursts, drops, lifetime query budget). parse() refuses
+  /// any config ml::robust::validate refuses.
   ml::robust::FaultConfig faults;
   /// Non-empty: journal the oracle interaction into a named per-job session
   /// so a lockdown-tripped attack can be continued later with a refilled

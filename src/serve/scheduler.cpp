@@ -1,13 +1,18 @@
 #include "serve/scheduler.hpp"
 
 #include <exception>
+#include <optional>
+#include <utility>
 
 #include "ml/features.hpp"
 #include "ml/logistic.hpp"
+#include "ml/robust/learners.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "puf/crp.hpp"
+#include "serve/wire.hpp"
+#include "store/checkpoint.hpp"
 #include "support/parallel.hpp"
 #include "support/require.hpp"
 #include "support/snapshot/snapshot.hpp"
@@ -146,60 +151,72 @@ JobResult run_auth(TokenFleet& fleet, const JobSpec& spec) {
   return result;
 }
 
-JobResult run_attack(TokenFleet& fleet, const OraclePolicy& policy,
+JobResult run_attack(TokenFleet& fleet, const std::string& checkpoint_path,
                      const JobSpec& spec) {
   const auto model = fleet.acquire(spec.token);
-  const std::size_t n = model->num_vars();
-  std::unique_ptr<OracleStack> stack = policy.open(spec, *model);
-  ml::MembershipOracle& oracle = stack->top();
+  // The job's private channel stack, declared in decoration order: the
+  // token's ideal CRP map, then the §9 fault layer, then — for a named
+  // session — the journal recorder. The fault stream is keyed by the job
+  // seed, not the daemon seed: the fault sequence belongs to the spec, so
+  // resubmitting a spec (or resuming its session on another daemon over the
+  // same fleet) replays the identical channel. Session files are per job,
+  // never shared between concurrent jobs, which keeps journaling race-free
+  // on the worker pool.
+  ml::FunctionMembershipOracle token(*model);
+  ml::robust::FaultyMembershipOracle faulty(token, spec.faults, spec.seed);
+  std::optional<store::CheckpointSession> session;
+  std::optional<store::RecordingOracle> recorder;
+  if (!spec.session.empty()) {
+    PITFALLS_REQUIRE(!checkpoint_path.empty(),
+                     "oracle sessions need the daemon --checkpoint path");
+    // Sessions always resume when their file exists: a continuation job
+    // with a refilled query_budget replays the journaled interactions for
+    // free and answers the stripped refusals live (drop_recorded_refusals).
+    // The provenance binds the journal to this fleet, session and token.
+    session.emplace(checkpoint_path + ".sess-" + spec.session + ".snap",
+                    spec.seed,
+                    fleet.fingerprint() + " session=" + spec.session +
+                        " token=" + std::to_string(spec.token),
+                    /*resume=*/true);
+    recorder.emplace(faulty, *session, "oracle.log", &faulty,
+                     /*flush_every=*/256, /*drop_recorded_refusals=*/true);
+  }
+  ml::MembershipOracle& oracle =
+      recorder ? static_cast<ml::MembershipOracle&>(*recorder) : faulty;
   support::Rng rng = job_stream(fleet, spec);
 
-  // Collection: chosen uniform challenges, one at a time — scalar on
-  // purpose, because the fault channel is defined per raw query (§9) and a
-  // drop or the lockdown can land on any element. A dropped round consumes
-  // budget but yields no CRP; the lockdown ends collection with whatever
+  // Collection is ml::robust's budgeted random-example loop with one
+  // attempt per challenge: the fault channel is defined per raw query (§9),
+  // so a dropped round consumes budget but yields no CRP and the next
+  // challenge is drawn fresh; the lockdown ends collection with whatever
   // was gathered so far.
-  std::vector<support::BitVec> challenges;
-  std::vector<int> responses;
-  challenges.reserve(spec.budget);
-  responses.reserve(spec.budget);
-  const char* status = "modeled";
+  ml::robust::Examples examples;
   {
     obs::TraceSpan span("serve.job.collect");
-    while (challenges.size() < spec.budget) {
-      support::BitVec challenge = draw_challenge(n, rng);
-      try {
-        const int response = oracle.query_pm(challenge);
-        challenges.push_back(std::move(challenge));
-        responses.push_back(response);
-      } catch (const ml::robust::TransientFaultError&) {
-        continue;
-      } catch (const ml::robust::QueryBudgetExhaustedError&) {
-        status = "lockdown";
-        break;
-      }
-    }
+    examples = ml::robust::collect_examples(
+        oracle, spec.budget, ml::robust::RetryPolicy{.max_attempts = 1}, rng);
   }
 
-  const std::string block = pm_string(responses);
+  const char* status = examples.budget_hit ? "lockdown" : "modeled";
+  const std::string block = pm_string(examples.responses);
   double accuracy = 0.0;
-  if (challenges.size() >= 2) {
+  if (examples.challenges.size() >= 2) {
     obs::TraceSpan fit_span("serve.job.fit");
     ml::LinearModel hypothesis = ml::LogisticRegression().fit_model(
-        challenges, responses, ml::parity_with_bias, rng);
+        examples.challenges, examples.responses, ml::parity_with_bias, rng);
     obs::TraceSpan eval_span("serve.job.eval");
     puf::CrpSet holdout = puf::CrpSet::collect_uniform(*model, spec.eval, rng);
     accuracy = holdout.accuracy_of(hypothesis);
   } else {
     status = "starved";
   }
-  stack->flush();
+  if (recorder) recorder->flush_now();
 
   JobTally tally;
-  tally.queries = stack->faults().raw_queries();
-  tally.replayed = stack->replayed_queries();
-  tally.flips = stack->faults().faults_injected();
-  tally.drops = stack->faults().responses_dropped();
+  tally.queries = faulty.raw_queries();
+  tally.replayed = recorder ? recorder->replayed_queries() : 0;
+  tally.flips = faulty.faults_injected();
+  tally.drops = faulty.responses_dropped();
   tally.spans = {"serve.job.collect", "serve.job.fit", "serve.job.eval"};
 
   obs::JsonWriter writer;
@@ -208,7 +225,7 @@ JobResult run_attack(TokenFleet& fleet, const OraclePolicy& policy,
   writer.key("id").value(spec.id);
   writer.key("kind").value("attack");
   writer.key("status").value(status);
-  writer.key("collected").value(std::uint64_t{challenges.size()});
+  writer.key("collected").value(std::uint64_t{examples.challenges.size()});
   writer.key("queries").value(std::uint64_t{tally.queries});
   writer.key("accuracy").value(accuracy);
   writer.key("digest").value(hex32(support::snapshot::crc32(block)));
@@ -220,23 +237,10 @@ JobResult run_attack(TokenFleet& fleet, const OraclePolicy& policy,
   return result;
 }
 
-std::string error_line(const std::string& id, const std::string& message) {
-  obs::JsonWriter writer;
-  writer.begin_object();
-  writer.key("type").value("error");
-  if (id.empty())
-    writer.key("id").null_value();
-  else
-    writer.key("id").value(id);
-  writer.key("message").value(message);
-  writer.end_object();
-  return writer.str();
-}
-
 }  // namespace
 
-JobScheduler::JobScheduler(TokenFleet& fleet, const OraclePolicy& policy)
-    : fleet_(&fleet), policy_(&policy) {}
+JobScheduler::JobScheduler(TokenFleet& fleet, std::string checkpoint_path)
+    : fleet_(&fleet), checkpoint_path_(std::move(checkpoint_path)) {}
 
 JobResult JobScheduler::run_job(const JobSpec& spec) const {
   auto& registry = obs::MetricsRegistry::global();
@@ -251,7 +255,7 @@ JobResult JobScheduler::run_job(const JobSpec& spec) const {
         result = run_auth(*fleet_, spec);
         break;
       case JobKind::kAttack:
-        result = run_attack(*fleet_, *policy_, spec);
+        result = run_attack(*fleet_, checkpoint_path_, spec);
         break;
     }
     registry.counter("serve.jobs.completed").add();

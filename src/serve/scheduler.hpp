@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "serve/job.hpp"
-#include "serve/oracle_policy.hpp"
 #include "serve/token_fleet.hpp"
 
 namespace pitfalls::serve {
@@ -35,8 +34,11 @@ struct JobResult {
 
 class JobScheduler {
  public:
-  /// Both references must outlive the scheduler.
-  JobScheduler(TokenFleet& fleet, const OraclePolicy& policy);
+  /// `fleet` must outlive the scheduler. `checkpoint_path` empty disables
+  /// oracle sessions (an attack naming one fails); otherwise each session
+  /// journals next to the daemon checkpoint as
+  /// "<checkpoint_path>.sess-<name>.snap".
+  JobScheduler(TokenFleet& fleet, std::string checkpoint_path);
 
   /// Execute one job to completion on the calling thread. Never throws:
   /// any failure becomes the job's error line.
@@ -51,7 +53,7 @@ class JobScheduler {
 
  private:
   TokenFleet* fleet_;
-  const OraclePolicy* policy_;
+  std::string checkpoint_path_;
 };
 
 }  // namespace pitfalls::serve

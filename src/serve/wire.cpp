@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "support/require.hpp"
 
 namespace pitfalls::serve {
@@ -91,6 +92,19 @@ std::string MemoryChannel::joined_output() const {
     joined += '\n';
   }
   return joined;
+}
+
+std::string error_line(const std::string& id, const std::string& message) {
+  obs::JsonWriter writer;
+  writer.begin_object();
+  writer.key("type").value("error");
+  if (id.empty())
+    writer.key("id").null_value();
+  else
+    writer.key("id").value(id);
+  writer.key("message").value(message);
+  writer.end_object();
+  return writer.str();
 }
 
 int listen_unix(const std::string& path) {

@@ -90,6 +90,10 @@ class ChannelSink final : public obs::JsonLineSink {
   LineChannel* channel_;
 };
 
+/// The protocol's error document: {"type":"error","id":...,"message":...},
+/// with a null id when `id` is empty (the request named no job).
+std::string error_line(const std::string& id, const std::string& message);
+
 /// Bind and listen on a Unix-domain stream socket at `path` (an existing
 /// socket file at `path` is replaced). Returns the listening fd; throws
 /// std::runtime_error on any syscall failure.

@@ -374,21 +374,21 @@ TEST(RobustLearners, LstarConvergesWithAmpleBudget) {
                    .has_value());
 }
 
-TEST(RobustLearners, DeadlineZeroReportsDeadlineExceeded) {
-  Rng setup(13);
-  const puf::ArbiterPuf puf(12, 0.0, setup);
-  FunctionMembershipOracle oracle(puf);
-  RobustLearnConfig config = small_config(500, 100);
-  config.deadline_seconds = 0.0;
-  Rng rng(113);
-  const auto outcome =
-      robust_perceptron(oracle, ml::parity_with_bias, config, rng);
-  EXPECT_EQ(outcome.status, LearnStatus::deadline_exceeded);
-
-  circuit::Dfa target = circuit::Dfa::random(6, 2, 0.4, rng);
+TEST(RobustLearners, LstarEquivalenceRoundCapReportsIterationCap) {
+  Rng rng(13);
+  const circuit::Dfa target = circuit::Dfa::random(12, 2, 0.4, rng);
   ml::ExactDfaTeacher teacher(target);
-  const auto lstar_outcome = robust_lstar(teacher, config);
-  EXPECT_EQ(lstar_outcome.status, LearnStatus::deadline_exceeded);
+  RobustLearnConfig config;
+  config.train_queries = 1000000;
+  config.max_iterations = 1;
+  const auto outcome = robust_lstar(teacher, config);
+  // The first hypothesis is refuted, so the second equivalence round trips
+  // the cap; the run keeps that hypothesis as its best-so-far DFA.
+  EXPECT_EQ(outcome.status, LearnStatus::iteration_cap);
+  ASSERT_TRUE(outcome.best_hypothesis.has_value());
+  EXPECT_EQ(outcome.diagnostics.at("eq_rounds"), 2.0);
+  EXPECT_TRUE(circuit::Dfa::distinguishing_word(target, *outcome.best_hypothesis)
+                  .has_value());
 }
 
 TEST(RobustLearners, CleanChannelConverges) {

@@ -309,6 +309,10 @@ TEST(ServeDaemon, MalformedRequestsAreRejectedWithErrorLines) {
       auth_job("b2", 1'000'000, 5, 4),    // token == population
       attack_job("b3", 1, 1, 8, 8, R"(,"session":"s1")"),  // no checkpoint
       query_job("b4", 1, 1, {"01x"}),     // bad challenge alphabet
+      // Policies the fault layer cannot model are refused at submission.
+      attack_job("b5", 1, 1, 8, 8, R"(,"policy":{"flip_rate":0.5})"),
+      attack_job("b6", 1, 1, 8, 8, R"(,"policy":{"drop_rate":1})"),
+      attack_job("b7", 1, 1, 8, 8, R"(,"policy":{"burst_length":0})"),
       query_job("q_short", 1, 1, {"0101"}),  // wrong arity: fails at run
       kDrain,
   };
@@ -321,14 +325,19 @@ TEST(ServeDaemon, MalformedRequestsAreRejectedWithErrorLines) {
   EXPECT_EQ(type_of(obs::JsonValue::parse(run.lines.front())), "hello");
   EXPECT_EQ(type_of(obs::JsonValue::parse(run.lines.back())), "drained");
 
-  // Nine rejected submissions plus the arity failure caught at run time.
-  EXPECT_EQ(count_type(run.lines, "error"), 10u);
+  // Twelve rejected submissions plus the arity failure caught at run time.
+  EXPECT_EQ(count_type(run.lines, "error"), 13u);
   EXPECT_EQ(count_type(run.lines, "ack"), 2u);
   EXPECT_EQ(count_type(run.lines, "outcome"), 1u);
   EXPECT_FALSE(find_line(run.lines, "outcome", "ok1").empty());
   const std::string arity_error = find_line(run.lines, "error", "q_short");
   ASSERT_FALSE(arity_error.empty());
   EXPECT_NE(str_of(arity_error, "message").find("arity"), std::string::npos);
+  // Submission errors carry a null id, so match the fault layer's messages.
+  for (const char* id : {"b5", "b6", "b7"})
+    EXPECT_TRUE(find_line(run.lines, "ack", id).empty()) << id;
+  for (const char* check : {"flip rate", "drop rate", "burst length"})
+    EXPECT_NE(run.joined.find(check), std::string::npos) << check;
   EXPECT_EQ(u64_of(run.lines.back(), "jobs"), 2u);
 }
 

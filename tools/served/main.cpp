@@ -7,10 +7,11 @@
 // socket (--socket PATH). With --checkpoint the daemon journals every
 // finished job; --resume serves journaled outcomes back after a crash.
 //
-// Example (see README "Serving mode"):
-//   printf '%s\n%s\n' \
-//     '{"type":"job","id":"a1","kind":"auth","token":12345,"seed":7,"rounds":16}' \
-//     '{"type":"run"}' | pitfalls-served --tokens 1000000 --seed 42
+// Example (see README "Serving mode"): with jobs.txt holding the lines
+//   {"type":"job","id":"a1","kind":"auth","token":12345,"seed":7,"rounds":16}
+//   {"type":"run"}
+// run
+//   pitfalls-served --tokens 1000000 --seed 42 < jobs.txt
 
 #include <cstdint>
 #include <cstdio>
