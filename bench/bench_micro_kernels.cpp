@@ -8,11 +8,11 @@
 // kept here as the baseline) against the optimized kernel shipped in the
 // library — radix-4 + pooled WHT, the bit-sliced parity-cache coefficient
 // estimator, the rho^d-table noise sensitivity, chunk-parallel CRP
-// collection, the fanned-out accuracy pass and the vectorised XOR-model
-// fit — and reports wall-clock for both plus the speedup. Where the
-// optimization is contractually bit-identical (WHT, estimation, noise
-// sensitivity, XOR-model fit) the bench also verifies the outputs match
-// before trusting the timing.
+// collection, the fanned-out accuracy pass, the vectorised XOR-model fit
+// and the word-at-a-time coin fill — and reports wall-clock for both plus
+// the speedup. Where the optimization is contractually bit-identical (WHT,
+// estimation, noise sensitivity, XOR-model fit, coin fill) the bench also
+// verifies the outputs match before trusting the timing.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -462,14 +462,39 @@ int main(int argc, char** argv) {
                  legacy_stats.iterations == optimized_stats.iterations});
   }
 
+  // Fair-coin fill: the per-bit `set(i, coin())` loop vs Rng::fill_coins,
+  // which builds each word in a register next to the inlined engine step.
+  // Contractually identical: same bits and the same next draw afterwards.
+  for (const std::size_t n : {64, 130}) {
+    const std::size_t m = smoke ? 2000 : 100000;
+    std::vector<BitVec> legacy(m, BitVec(n));
+    std::uint64_t legacy_next = 0;
+    const double base = best_seconds(reps, [&] {
+      Rng gen(13);
+      for (BitVec& v : legacy)
+        for (std::size_t b = 0; b < n; ++b) v.set(b, gen.coin());
+      legacy_next = gen();
+    });
+    std::vector<BitVec> optimized(m, BitVec(n));
+    std::uint64_t optimized_next = 0;
+    const double opt = best_seconds(reps, [&] {
+      Rng gen(13);
+      for (BitVec& v : optimized) gen.fill_coins(v);
+      optimized_next = gen();
+    });
+    add_row(table, reporter,
+            {"coin_fill", "n=" + std::to_string(n) + ",m=" + std::to_string(m),
+             base, opt, legacy == optimized && legacy_next == optimized_next});
+  }
+
   reporter.print(std::cout, table);
   reporter.note("threads", static_cast<double>(support::pool_thread_count()));
 
   std::cout << "\nBaselines are the seed (pre-parallel-layer) loops; the\n"
                "optimized kernels are what the library now ships. WHT,\n"
-               "estimation, noise sensitivity and the XOR-model fit are\n"
-               "bit-identical to their baselines ('outputs match');\n"
-               "collection intentionally uses different (chunk-seeded)\n"
-               "random streams.\n";
+               "estimation, noise sensitivity, the XOR-model fit and the\n"
+               "coin fill are bit-identical to their baselines ('outputs\n"
+               "match'); collection intentionally uses different\n"
+               "(chunk-seeded) random streams.\n";
   return reporter.finish();
 }

@@ -18,14 +18,15 @@ build_dir=${1:-"$src_dir/build-tsan"}
 echo "== configure ($build_dir, -DPITFALLS_SANITIZE=thread) =="
 cmake -B "$build_dir" -S "$src_dir" -DPITFALLS_SANITIZE=thread
 
-echo "== build parallel_test obs_test robust_test solver_test =="
-cmake --build "$build_dir" -j --target parallel_test obs_test robust_test solver_test
+echo "== build parallel_test obs_test robust_test solver_test serve_test =="
+cmake --build "$build_dir" -j --target parallel_test obs_test robust_test \
+  solver_test serve_test
 
 export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 export PITFALLS_THREADS=8
 
 status=0
-for test in parallel_test obs_test robust_test solver_test; do
+for test in parallel_test obs_test robust_test solver_test serve_test; do
   echo "== $test (PITFALLS_THREADS=8, TSan) =="
   if ! "$build_dir/tests/$test"; then
     echo "check_tsan: $test FAILED under ThreadSanitizer" >&2
@@ -34,6 +35,7 @@ for test in parallel_test obs_test robust_test solver_test; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "check_tsan: parallel_test, obs_test, robust_test and solver_test are race-free under TSan"
+  echo "check_tsan: parallel_test, obs_test, robust_test, solver_test and" \
+    "serve_test are race-free under TSan"
 fi
 exit "$status"

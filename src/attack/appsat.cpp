@@ -110,7 +110,7 @@ AppSatResult appsat(const lock::LockedCircuit& locked, CircuitOracle& oracle,
     std::size_t mismatches = 0;
     for (std::size_t q = 0; q < config.random_queries; ++q) {
       BitVec data(num_data);
-      for (std::size_t b = 0; b < num_data; ++b) data.set(b, rng.coin());
+      rng.fill_coins(data);
       const BitVec truth = journal.ask(oracle, data);
       if (locked.evaluate(data, candidate) != truth) {
         ++mismatches;

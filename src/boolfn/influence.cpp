@@ -34,7 +34,7 @@ double estimate_influence(const BooleanFunction& f, std::size_t i,
   std::size_t flips = 0;
   for (std::size_t s = 0; s < m; ++s) {
     BitVec x(f.num_vars());
-    for (std::size_t b = 0; b < x.size(); ++b) x.set(b, rng.coin());
+    rng.fill_coins(x);
     const int before = f.eval_pm(x);
     x.flip(i);
     if (f.eval_pm(x) != before) ++flips;

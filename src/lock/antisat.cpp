@@ -34,7 +34,7 @@ LockedCircuit lock_antisat(const Netlist& original, std::size_t width,
 
   // Key inputs: KA then KB; the correct key sets KA == KB (random pattern).
   BitVec pattern(width);
-  for (std::size_t i = 0; i < width; ++i) pattern.set(i, rng.coin());
+  rng.fill_coins(pattern);
   std::vector<std::size_t> ka(width);
   std::vector<std::size_t> kb(width);
   out.correct_key = BitVec(2 * width);

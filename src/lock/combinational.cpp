@@ -130,7 +130,7 @@ double key_accuracy(const Netlist& original, const LockedCircuit& locked,
     if (exhaustive) {
       data = BitVec(n, i);
     } else {
-      for (std::size_t b = 0; b < n; ++b) data.set(b, rng.coin());
+      rng.fill_coins(data);
     }
     if (original.evaluate(data) == locked.evaluate(data, key)) ++agree;
   }

@@ -63,9 +63,9 @@ LockedCircuit add_sarlock_layer(const LockedCircuit& base,
 
   // Fresh SARLock key inputs + secret.
   BitVec secret(sar_bits);
+  rng.fill_coins(secret);
   std::vector<std::size_t> sar_keys(sar_bits);
   for (std::size_t i = 0; i < sar_bits; ++i) {
-    secret.set(i, rng.coin());
     const std::size_t key_input =
         out.netlist.add_input("sarkey" + std::to_string(i));
     sar_keys[i] = key_input;

@@ -54,7 +54,7 @@ HalfspaceTestReport HalfspaceTester::test(const BooleanFunction& f,
   challenges.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     BitVec x(f.num_vars());
-    for (std::size_t b = 0; b < x.size(); ++b) x.set(b, rng.coin());
+    rng.fill_coins(x);
     challenges.push_back(std::move(x));
   }
   std::vector<int> responses(m);

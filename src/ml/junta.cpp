@@ -36,7 +36,7 @@ namespace {
 
 BitVec random_point(std::size_t n, support::Rng& rng) {
   BitVec x(n);
-  for (std::size_t i = 0; i < n; ++i) x.set(i, rng.coin());
+  rng.fill_coins(x);
   return x;
 }
 

@@ -140,7 +140,7 @@ OnlineToPacResult online_to_pac(OnlineLearner& learner,
   const std::size_t n = target.num_vars();
   for (std::size_t t = 0; t < max_examples; ++t) {
     BitVec x(n);
-    for (std::size_t b = 0; b < n; ++b) x.set(b, rng.coin());
+    rng.fill_coins(x);
     const int label = target.eval_pm(x);
     ++result.examples_used;
     if (learner.observe(x, label)) {

@@ -72,7 +72,7 @@ std::optional<BitVec> SampledEquivalenceOracle::counterexample(
   // outweighs the batch win here.
   for (std::size_t s = 0; s < q; ++s) {
     BitVec x(n);
-    for (std::size_t b = 0; b < n; ++b) x.set(b, rng_->coin());
+    rng_->fill_coins(x);
     ++samples_used_;
     samples_counter.add(1);
     if (target_->eval_pm(x) != hypothesis.eval_pm(x)) return x;

@@ -19,7 +19,7 @@ Examples collect_examples(MembershipOracle& oracle, std::size_t m,
   out.responses.reserve(m);
   while (out.challenges.size() < m) {
     BitVec c(n);
-    for (std::size_t b = 0; b < n; ++b) c.set(b, rng.coin());
+    rng.fill_coins(c);
     try {
       const int r = query_with_retry(oracle, c, retry);
       out.challenges.push_back(std::move(c));

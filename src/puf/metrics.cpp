@@ -12,7 +12,7 @@ namespace {
 
 BitVec uniform_challenge(std::size_t n, support::Rng& rng) {
   BitVec c(n);
-  for (std::size_t i = 0; i < n; ++i) c.set(i, rng.coin());
+  rng.fill_coins(c);
   return c;
 }
 

@@ -1,7 +1,9 @@
 #include "serve/scheduler.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "ml/features.hpp"
@@ -10,6 +12,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "puf/bitslice_detail.hpp"
 #include "puf/crp.hpp"
 #include "serve/wire.hpp"
 #include "store/checkpoint.hpp"
@@ -29,12 +32,6 @@ constexpr std::uint64_t kJobStreamSalt = 0x6a6f622d73747265ULL;  // "job-stre"
 support::Rng job_stream(TokenFleet& fleet, const JobSpec& spec) {
   return support::rng_for_chunk(fleet.config().seed ^ kJobStreamSalt,
                                 spec.seed);
-}
-
-support::BitVec draw_challenge(std::size_t n, support::Rng& rng) {
-  support::BitVec challenge(n);
-  for (std::size_t i = 0; i < n; ++i) challenge.set(i, rng.coin());
-  return challenge;
 }
 
 std::string pm_string(const std::vector<int>& responses) {
@@ -112,6 +109,8 @@ JobResult run_query(TokenFleet& fleet, const JobSpec& spec) {
 JobResult run_auth(TokenFleet& fleet, const JobSpec& spec) {
   const auto model = fleet.acquire(spec.token);
   const std::size_t n = model->num_vars();
+  const std::size_t chains = model->num_chains();
+  const bool noisy = fleet.config().spec.noise_sigma > 0.0;
   obs::TraceSpan span("serve.job.auth");
   support::Rng rng = job_stream(fleet, spec);
   // Lockdown-shaped rounds (puf/lockdown.hpp): the challenge is nonce-
@@ -119,17 +118,49 @@ JobResult run_auth(TokenFleet& fleet, const JobSpec& spec) {
   // from the job stream, so the round transcript is a pure function of the
   // spec; the verifier accepts a round when the measured response matches
   // the enrolled model's ideal response.
-  std::vector<int> measured(spec.rounds);
+  //
+  // Rounds run in blocks of kBatchBlock on the bit-sliced kernel. A round
+  // draws its n challenge coins, then (sigma > 0) one gaussian per chain in
+  // chain order, the draw order of XorArbiterPuf::eval_noisy. Each chain's
+  // delays are computed once per block and give both the ideal and the
+  // measured response, and each block's +/- bytes fold into a running
+  // crc32, so a job holds O(block) memory at any round count.
+  constexpr std::size_t kBlock = puf::detail::kBatchBlock;
+  std::vector<support::BitVec> challenges(kBlock, support::BitVec(n));
+  std::vector<double> delays(chains * kBlock);
+  std::vector<double> noise(chains * kBlock);
+  std::string block;
+  block.reserve(kBlock);
+  std::uint32_t digest = 0;
   std::size_t accepted = 0;
-  for (std::size_t round = 0; round < spec.rounds; ++round) {
-    const support::BitVec challenge = draw_challenge(n, rng);
-    const int response = fleet.config().spec.noise_sigma > 0.0
-                             ? model->eval_noisy(challenge, rng)
-                             : model->eval_pm(challenge);
-    measured[round] = response;
-    if (response == model->eval_pm(challenge)) ++accepted;
+  for (std::size_t base = 0; base < spec.rounds; base += kBlock) {
+    const std::size_t size = std::min(kBlock, spec.rounds - base);
+    for (std::size_t r = 0; r < size; ++r) {
+      rng.fill_coins(challenges[r]);
+      if (noisy)
+        for (std::size_t k = 0; k < chains; ++k)
+          noise[k * kBlock + r] =
+              rng.gaussian(0.0, model->chain(k).noise_sigma());
+    }
+    const std::span<const support::BitVec> batch(challenges.data(), size);
+    for (std::size_t k = 0; k < chains; ++k)
+      model->chain(k).delay_differences(
+          batch, std::span<double>(delays).subspan(k * kBlock, size));
+    block.clear();
+    for (std::size_t r = 0; r < size; ++r) {
+      int ideal = 1;
+      int measured = 1;
+      for (std::size_t k = 0; k < chains; ++k) {
+        const double delay = delays[k * kBlock + r];
+        const double margin = noisy ? delay + noise[k * kBlock + r] : delay;
+        ideal *= delay < 0.0 ? -1 : +1;
+        measured *= margin < 0.0 ? -1 : +1;
+      }
+      if (measured == ideal) ++accepted;
+      block.push_back(measured < 0 ? '-' : '+');
+    }
+    digest = support::snapshot::crc32(block, digest);
   }
-  const std::string block = pm_string(measured);
 
   JobTally tally;
   tally.queries = spec.rounds;
@@ -142,7 +173,7 @@ JobResult run_auth(TokenFleet& fleet, const JobSpec& spec) {
   writer.key("kind").value("auth");
   writer.key("rounds").value(std::uint64_t{spec.rounds});
   writer.key("accepted").value(std::uint64_t{accepted});
-  writer.key("digest").value(hex32(support::snapshot::crc32(block)));
+  writer.key("digest").value(hex32(digest));
   writer.end_object();
 
   JobResult result;

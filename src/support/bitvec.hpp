@@ -5,6 +5,7 @@
 // pm_one(); all Fourier-analytic code uses that convention.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -87,6 +88,16 @@ class BitVec {
   std::uint64_t word(std::size_t w) const {
     PITFALLS_REQUIRE(w < words_.size(), "word index out of range");
     return words_[w];
+  }
+
+  /// Overwrite payload word `w` — the store side of word(). Bits of `value`
+  /// past size() must be zero, so the padding invariant keeps holding.
+  void set_word(std::size_t w, std::uint64_t value) {
+    PITFALLS_REQUIRE(w < words_.size(), "word index out of range");
+    PITFALLS_REQUIRE(64 * w + static_cast<std::size_t>(std::bit_width(value)) <=
+                         size_,
+                     "set_word must leave the padding bits zero");
+    words_[w] = value;
   }
 
  private:

@@ -1,7 +1,9 @@
 #include "support/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "support/bitvec.hpp"
 #include "support/require.hpp"
 
 namespace pitfalls::support {
@@ -38,6 +40,15 @@ std::uint64_t Rng::next() {
   state_[2] ^= t;
   state_[3] = rotl(state_[3], 45);
   return result;
+}
+
+void Rng::fill_coins(BitVec& bits) {
+  for (std::size_t w = 0; w < bits.num_words(); ++w) {
+    const std::size_t width = std::min<std::size_t>(64, bits.size() - 64 * w);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < width; ++b) word |= (next() >> 63) << b;
+    bits.set_word(w, word);
+  }
 }
 
 std::uint64_t Rng::uniform_below(std::uint64_t bound) {

@@ -14,6 +14,8 @@
 
 namespace pitfalls::support {
 
+class BitVec;
+
 /// xoshiro256** engine with convenience draws used throughout the library.
 class Rng {
  public:
@@ -49,6 +51,11 @@ class Rng {
 
   /// Fair coin.
   bool coin() { return (next() >> 63) != 0; }
+
+  /// Overwrite every bit of `bits` with a fair coin, bit 0 first: exactly
+  /// the draws of `for i: bits.set(i, coin())`, with each 64-bit word built
+  /// in a register and stored once.
+  void fill_coins(BitVec& bits);
 
   /// Biased coin: true with probability p (clamped to [0,1]).
   bool bernoulli(double p);

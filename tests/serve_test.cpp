@@ -13,12 +13,14 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/daemon.hpp"
+#include "serve/scheduler.hpp"
 #include "serve/token_fleet.hpp"
 #include "serve/wire.hpp"
 #include "store/checkpoint.hpp"
 #include "support/bitvec.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/snapshot/snapshot.hpp"
 
 namespace {
 
@@ -292,6 +294,118 @@ TEST(ServeDaemon, OutputStreamIsByteStableAcrossThreadCounts) {
     const ServeRun run = run_daemon(config, input);
     EXPECT_EQ(run.status, 0);
     EXPECT_EQ(run.joined, reference.joined) << "threads=" << threads;
+  }
+}
+
+// ------------------------------------------------- auth byte identity
+
+// The scheduler's per-round auth loop from before rounds ran in 64-round
+// blocks on the bit-sliced kernel, kept verbatim as the reference, with the
+// scheduler's private helpers and job-stream salt copied alongside.
+constexpr std::uint64_t kJobStreamSalt = 0x6a6f622d73747265ULL;  // "job-stre"
+
+support::BitVec draw_challenge(std::size_t n, support::Rng& rng) {
+  support::BitVec challenge(n);
+  for (std::size_t i = 0; i < n; ++i) challenge.set(i, rng.coin());
+  return challenge;
+}
+
+std::string pm_string(const std::vector<int>& responses) {
+  std::string text;
+  text.reserve(responses.size());
+  for (const int r : responses) text.push_back(r < 0 ? '-' : '+');
+  return text;
+}
+
+struct AuthOutcome {
+  std::uint64_t rounds = 0;
+  std::uint64_t accepted = 0;
+  std::string digest;
+};
+
+AuthOutcome reference_auth(serve::TokenFleet& fleet,
+                           const serve::JobSpec& spec) {
+  const auto model = fleet.acquire(spec.token);
+  const std::size_t n = model->num_vars();
+  support::Rng rng = support::rng_for_chunk(
+      fleet.config().seed ^ kJobStreamSalt, spec.seed);
+  std::vector<int> measured(spec.rounds);
+  std::size_t accepted = 0;
+  for (std::size_t round = 0; round < spec.rounds; ++round) {
+    const support::BitVec challenge = draw_challenge(n, rng);
+    const int response = fleet.config().spec.noise_sigma > 0.0
+                             ? model->eval_noisy(challenge, rng)
+                             : model->eval_pm(challenge);
+    measured[round] = response;
+    if (response == model->eval_pm(challenge)) ++accepted;
+  }
+  const std::string block = pm_string(measured);
+  char digest[9];
+  std::snprintf(digest, sizeof digest, "%08x",
+                static_cast<unsigned>(support::snapshot::crc32(block)));
+  return {spec.rounds, accepted, digest};
+}
+
+// Rounds straddling the 64-round block edges, multi-block jobs, both noise
+// paths, one- and two-word challenges (100 stages pads the second word) and
+// one or three chains: every auth outcome equals the per-round loop's, from
+// run_job and from waves on a contended pool.
+TEST(JobScheduler, AuthBlocksMatchThePerRoundLoop) {
+  PoolSizeGuard guard;
+  const std::vector<std::size_t> rounds = {1, 63, 64, 65, 1000, 4097};
+  for (const std::size_t stages : {64u, 100u}) {
+    for (const std::size_t chains : {1u, 3u}) {
+      for (const double sigma : {0.0, 0.3}) {
+        const std::string cell = "stages=" + std::to_string(stages) +
+                                 " chains=" + std::to_string(chains) +
+                                 " sigma=" + std::to_string(sigma);
+        serve::TokenFleetConfig config = small_fleet();
+        config.spec.stages = stages;
+        config.spec.chains = chains;
+        config.spec.noise_sigma = sigma;
+        serve::TokenFleet fleet(config);
+        const serve::JobScheduler scheduler(fleet, "");
+
+        std::vector<serve::JobSpec> specs;
+        for (std::size_t i = 0; i < rounds.size(); ++i) {
+          serve::JobSpec spec;
+          spec.id = "a" + std::to_string(i);
+          spec.kind = serve::JobKind::kAuth;
+          spec.token = 1000 + 7919 * i;
+          spec.seed = 31 + i;
+          spec.rounds = rounds[i];
+          specs.push_back(spec);
+        }
+
+        support::set_pool_thread_count(1);
+        std::vector<serve::JobResult> serial;
+        for (const serve::JobSpec& spec : specs) {
+          serial.push_back(scheduler.run_job(spec));
+          const serve::JobResult& result = serial.back();
+          ASSERT_TRUE(result.ok) << cell;
+          ASSERT_EQ(result.lines.size(), 2u) << cell;
+          const std::string& outcome = result.lines[1];
+          const AuthOutcome expected = reference_auth(fleet, spec);
+          const std::string where =
+              cell + " rounds=" + std::to_string(spec.rounds);
+          EXPECT_EQ(u64_of(outcome, "rounds"), expected.rounds) << where;
+          EXPECT_EQ(u64_of(outcome, "accepted"), expected.accepted) << where;
+          EXPECT_EQ(str_of(outcome, "digest"), expected.digest) << where;
+          if (sigma > 0.0 && spec.rounds >= 1000) {
+            EXPECT_LT(expected.accepted, expected.rounds) << where;
+          }
+        }
+
+        for (const std::size_t threads : {2u, 4u, 8u}) {
+          support::set_pool_thread_count(threads);
+          std::vector<serve::JobResult> wave(specs.size());
+          scheduler.run_wave(specs, std::vector<char>(specs.size(), 0), wave);
+          for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(wave[i].lines, serial[i].lines)
+                << cell << " threads=" << threads << " job " << i;
+        }
+      }
+    }
   }
 }
 

@@ -182,7 +182,8 @@ TEST(SnapshotFormat, SectionReaderNeverReadsPastTheEnd) {
   // A length-prefixed string whose declared length exceeds the payload.
   SnapshotWriter w2(1, "p");
   w2.section("s").u32(1000);
-  SectionReader cur2 = SnapshotReader(w2.encode()).section("s");
+  const SnapshotReader r2(w2.encode());
+  SectionReader cur2 = r2.section("s");
   EXPECT_THROW(cur2.str(), SnapshotError);
 }
 

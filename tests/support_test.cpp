@@ -107,6 +107,24 @@ TEST(Rng, CoinIsRoughlyFair) {
   EXPECT_NEAR(heads / 20000.0, 0.5, 0.02);
 }
 
+// fill_coins must be exactly the per-bit loop it replaces: the same bits,
+// also across word boundaries and partial last words, and the same engine
+// position afterwards.
+TEST(Rng, FillCoinsMatchesThePerBitLoop) {
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 128u, 130u}) {
+    Rng loop_rng(29 + n);
+    Rng fill_rng(29 + n);
+    for (int draw = 0; draw < 3; ++draw) {
+      BitVec expected(n);
+      for (std::size_t i = 0; i < n; ++i) expected.set(i, loop_rng.coin());
+      BitVec filled = ~BitVec(n);  // every bit must be overwritten
+      fill_rng.fill_coins(filled);
+      EXPECT_EQ(filled, expected) << "n=" << n << " draw " << draw;
+    }
+    EXPECT_EQ(fill_rng(), loop_rng()) << "n=" << n;
+  }
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
   Rng rng(21);
   Rng child = rng.split();
@@ -156,6 +174,17 @@ TEST(BitVec, SetGetFlip) {
   EXPECT_FALSE(v.get(69));
   v.flip(0);
   EXPECT_TRUE(v.get(0));
+}
+
+TEST(BitVec, SetWordKeepsPaddingClear) {
+  BitVec v(70);
+  v.set_word(0, ~0ULL);
+  v.set_word(1, 0x3fULL);
+  EXPECT_EQ(v.popcount(), 70u);
+  EXPECT_EQ(v.word(1), 0x3fULL);
+  EXPECT_THROW(v.set_word(1, 0x40ULL), std::invalid_argument);
+  EXPECT_THROW(v.set_word(2, 0), std::invalid_argument);
+  EXPECT_EQ(v.word(1), 0x3fULL);
 }
 
 TEST(BitVec, OutOfRangeThrows) {
