@@ -18,16 +18,9 @@ namespace pitfalls::ml {
 
 struct LogisticConfig {
   std::size_t max_iters = 300;
-  double init_step = 0.05;
-  double step_up = 1.2;      // RProp step growth on sign agreement
-  double step_down = 0.5;    // RProp step shrink on sign flip
-  double min_step = 1e-8;
-  double max_step = 10.0;
-  double tolerance = 1e-6;   // stop when the gradient norm falls below this
 };
 
 struct LogisticResult {
-  std::vector<double> weights;
   std::size_t iterations = 0;
   double final_loss = 0.0;
 };
@@ -36,9 +29,9 @@ class LogisticRegression {
  public:
   explicit LogisticRegression(LogisticConfig config = {}) : config_(config) {}
 
-  LogisticResult fit(const std::vector<std::vector<double>>& X,
-                     const std::vector<int>& y, support::Rng& rng) const;
-
+  /// Fits a linear model over `features` to the +/-1-labelled CRPs. RProp
+  /// runs for at most max_iters iterations and stops early once the
+  /// gradient norm falls below 1e-6.
   LinearModel fit_model(const std::vector<BitVec>& challenges,
                         const std::vector<int>& responses,
                         const FeatureMap& features, support::Rng& rng,

@@ -43,11 +43,6 @@ struct XorModelConfig {
   std::size_t max_iters = 400;
   std::size_t restarts = 4;
   double init_scale = 0.5;
-  double init_step = 0.02;
-  double step_up = 1.2;
-  double step_down = 0.5;
-  double min_step = 1e-7;
-  double max_step = 2.0;
   /// Stop a restart early once training accuracy reaches this.
   double target_train_accuracy = 0.99;
 };
@@ -63,6 +58,7 @@ class XorModelAttack {
   explicit XorModelAttack(XorModelConfig config) : config_(config) {}
 
   /// Fit the product model to the CRPs; returns the best restart's model.
+  /// Defined in logistic.cpp, on the training kernels the logistic fit uses.
   XorChainModel fit(const std::vector<BitVec>& challenges,
                     const std::vector<int>& responses,
                     const FeatureMap& features, support::Rng& rng,

@@ -19,11 +19,21 @@ using pitfalls::puf::XorArbiterPuf;
 using pitfalls::support::BitVec;
 using pitfalls::support::Rng;
 
+// XorModelConfig as the reference loop reads it: the RProp step sizes it
+// had as fields, at the values the library now fixes.
+struct LegacyXorConfig : XorModelConfig {
+  double init_step = 0.02;
+  double step_up = 1.2;
+  double step_down = 0.5;
+  double min_step = 1e-7;
+  double max_step = 2.0;
+};
+
 // The scalar XorModelAttack::fit that preceded the vectorised one, kept
 // verbatim (member names included) as the reference the library's fit must
 // reproduce bit for bit.
 std::vector<std::vector<double>> reference_fit(
-    const XorModelConfig& config_, const std::vector<BitVec>& challenges,
+    const LegacyXorConfig& config_, const std::vector<BitVec>& challenges,
     const std::vector<int>& responses, const FeatureMap& features, Rng& rng,
     XorModelResult* stats) {
   const std::size_t m = challenges.size();
@@ -145,10 +155,12 @@ void expect_fit_matches_reference(const XorModelConfig& config,
   const XorChainModel model =
       XorModelAttack(config).fit(train.challenges(), train.responses(),
                                  features, library_rng, &library_stats);
+  LegacyXorConfig legacy;
+  static_cast<XorModelConfig&>(legacy) = config;
   Rng reference_rng(seed);
   XorModelResult reference_stats;
   const std::vector<std::vector<double>> reference =
-      reference_fit(config, train.challenges(), train.responses(), features,
+      reference_fit(legacy, train.challenges(), train.responses(), features,
                     reference_rng, &reference_stats);
 
   ASSERT_EQ(model.weights().size(), reference.size());
@@ -331,6 +343,16 @@ TEST(XorChainModel, EvalRejectsFeatureDimensionMismatch) {
   });
   EXPECT_THROW((void)model.eval_pm(BitVec(2)), std::invalid_argument);
   EXPECT_THROW((void)model.soft_response(BitVec(2)), std::invalid_argument);
+}
+
+TEST(XorChainModel, EvalRejectsInputArityMismatch) {
+  // A 3-variable model whose feature map ignores its input's length, so
+  // only the arity check can catch a 5-bit input.
+  const XorChainModel model(3, {{1.0, 0.5}}, [](const BitVec&) {
+    return std::vector<double>{1.0, 1.0};
+  });
+  EXPECT_THROW((void)model.eval_pm(BitVec(5)), std::invalid_argument);
+  EXPECT_THROW((void)model.soft_response(BitVec(5)), std::invalid_argument);
 }
 
 // The vectorised fit against the seed loop across the shapes that hit the
