@@ -11,7 +11,6 @@
 #include "attack/appsat.hpp"
 #include "attack/sat_attack.hpp"
 #include "circuit/generator.hpp"
-#include "core/experiment.hpp"
 #include "lock/combinational.hpp"
 #include "obs/bench_reporter.hpp"
 #include "support/rng.hpp"
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
   workloads.push_back({"adder6", circuit::ripple_carry_adder(6)});
 
   Table table({"circuit", "key bits", "attack", "DIPs", "oracle queries",
-               "time [s]", "key accuracy [%]", "terminated"});
+               "key accuracy [%]", "terminated"});
 
   for (const auto& workload : workloads) {
     const std::size_t key_bits = 12;
@@ -61,7 +60,6 @@ int main(int argc, char** argv) {
 
     {
       CircuitOracle oracle = CircuitOracle::from_netlist(workload.netlist);
-      core::Stopwatch watch;
       const auto result = attack::sat_attack(locked, oracle);
       Rng eval(1);
       const double acc = lock::key_accuracy(workload.netlist, locked,
@@ -69,7 +67,6 @@ int main(int argc, char** argv) {
       table.add_row({workload.name, std::to_string(key_bits), "SAT (exact)",
                      std::to_string(result.dip_iterations),
                      std::to_string(result.oracle_queries),
-                     Table::fmt(watch.seconds(), 3),
                      Table::fmt(100.0 * acc, 2),
                      result.success ? "UNSAT (proof)" : "aborted"});
     }
@@ -80,7 +77,6 @@ int main(int argc, char** argv) {
       config.dips_per_round = 3;
       config.random_queries = 48;
       config.error_threshold = 0.02;
-      core::Stopwatch watch;
       const auto result = attack::appsat(locked, oracle, attack_rng, config);
       Rng eval(2);
       const double acc = lock::key_accuracy(workload.netlist, locked,
@@ -88,8 +84,7 @@ int main(int argc, char** argv) {
       table.add_row(
           {workload.name, std::to_string(key_bits), "AppSAT (approx)",
            std::to_string(result.dip_iterations),
-           std::to_string(result.oracle_queries),
-           Table::fmt(watch.seconds(), 3), Table::fmt(100.0 * acc, 2),
+           std::to_string(result.oracle_queries), Table::fmt(100.0 * acc, 2),
            result.exact ? "UNSAT (proof)"
                         : (result.settled ? "settled (err est. " +
                                                 Table::fmt(result.estimated_error, 3) +

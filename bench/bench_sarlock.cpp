@@ -11,7 +11,6 @@
 #include "attack/appsat.hpp"
 #include "attack/sat_attack.hpp"
 #include "circuit/generator.hpp"
-#include "core/experiment.hpp"
 #include "lock/antisat.hpp"
 #include "lock/sarlock.hpp"
 #include "obs/bench_reporter.hpp"
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
   const circuit::Netlist original = circuit::ripple_carry_adder(4);  // 8 in
 
   Table table({"scheme", "key bits", "attack", "DIPs", "oracle queries",
-               "time [s]", "key accuracy [%]"});
+               "key accuracy [%]"});
 
   const std::vector<std::size_t> bit_sweep =
       reporter.smoke() ? std::vector<std::size_t>{4}
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
       {
         attack::CircuitOracle oracle =
             attack::CircuitOracle::from_netlist(original);
-        core::Stopwatch watch;
         const auto result = attack::sat_attack(locked, oracle);
         Rng eval(1);
         const double acc = lock::key_accuracy(original, locked, result.key,
@@ -59,7 +57,6 @@ int main(int argc, char** argv) {
         table.add_row({scheme, std::to_string(bits), "SAT (exact)",
                        std::to_string(result.dip_iterations),
                        std::to_string(result.oracle_queries),
-                       Table::fmt(watch.seconds(), 3),
                        Table::fmt(100.0 * acc, 2)});
       }
       {
@@ -71,7 +68,6 @@ int main(int argc, char** argv) {
         config.random_queries = 48;
         config.error_threshold = 0.02;
         config.max_rounds = 8;
-        core::Stopwatch watch;
         const auto result = attack::appsat(locked, oracle, attack_rng, config);
         Rng eval(3);
         const double acc = lock::key_accuracy(original, locked, result.key,
@@ -79,7 +75,6 @@ int main(int argc, char** argv) {
         table.add_row({scheme, std::to_string(bits), "AppSAT (approx)",
                        std::to_string(result.dip_iterations),
                        std::to_string(result.oracle_queries),
-                       Table::fmt(watch.seconds(), 3),
                        Table::fmt(100.0 * acc, 2)});
       }
     }

@@ -13,7 +13,7 @@
 #      present, no BENCH json (died mid-run by construction)
 #   3. run it with --resume from the survivor        -> full JSON
 #   4. require the resumed deterministic payload (tables + notes) to match
-#      the reference exactly, via compare_bench.py --identical
+#      the reference exactly, via compare_bench.py
 #
 # Usage: check_kill_resume_cells.sh <bench_bin> <json_name> <cells> [work_dir]
 #   bench_bin  absolute or relative path to the bench binary
@@ -84,8 +84,7 @@ fi
 resumed_json="$work/crash/$json"
 
 # --- 4. deterministic payload must match exactly ----------------------
-if python3 "$script_dir/compare_bench.py" --identical \
-    "$ref_json" "$resumed_json"; then
+if python3 "$script_dir/compare_bench.py" "$ref_json" "$resumed_json"; then
   echo "check_kill_resume_cells: $json_name resume is identical to" \
        "uninterrupted"
   exit 0

@@ -1,43 +1,34 @@
 #!/usr/bin/env python3
-"""Diff or trend BENCH_*.json files (schema v1) emitted by the BenchReporter.
+"""Require a BENCH_*.json run to reproduce an expected one exactly.
 
-Two-file mode (default) compares the histograms the two runs share — per-
-histogram p50 delta, plus count/mean for context — and flags a regression
-when a p50 grows by more than --threshold (fractional; default 0.25 = 25%).
-Also reports numeric notes and wall_seconds, which are informational only
-(they never flag).
+Compares the deterministic payload of two schema-v1 BENCH_*.json files
+emitted by the BenchReporter -- bench name, smoke flag, tables (titles,
+headers, every cell) and notes -- and exits 1 on any difference, naming
+the JSON path of the first differing value and both values:
 
-Identical mode (--identical) compares only the deterministic payload of the
-two runs — bench name, smoke flag, tables (titles, headers, every cell) and
-notes — and exits 1 on ANY difference. Timing fields (wall_seconds, metric
-histograms, trace) are ignored, since they legitimately differ run to run.
-This is the comparator behind the kill/resume CI job: a run that was
-SIGKILLed and resumed from its checkpoint must produce byte-identical
-tables to an uninterrupted run.
+    tables[0].rows[2][4]: expected "2", got "3"
 
-Trend mode (--trend) accepts N historical JSONs in chronological order and
-prints per-bench p50 trajectories: one line per (bench, histogram) pair
-showing the p50 at each snapshot plus the overall first-to-last delta.
-Files from different benches may be mixed; they are grouped by the "bench"
-field. Trend mode is informational and always exits 0 on parseable input.
+Timing fields (wall_seconds, metrics, trace) are ignored: they differ run
+to run. Metric counters are deterministic at a fixed thread count, but a
+resumed run legitimately reports fewer fresh oracle queries than an
+uninterrupted one (replayed answers come from the journal), so they stay
+out of the comparison too.
 
-Stdlib-only, so it runs anywhere the repo builds:
+It is the comparator behind the bench_smoke ctest (each bench against its
+committed baseline in bench/baselines/) and the kill/resume gates (a
+resumed run against an uninterrupted one). Stdlib-only:
 
-    python3 scripts/compare_bench.py old/BENCH_micro_kernels.json \
-        new/BENCH_micro_kernels.json --threshold 0.3
-    python3 scripts/compare_bench.py --trend run1/*.json run2/*.json \
-        run3/*.json
+    python3 scripts/compare_bench.py bench/baselines/BENCH_sat_attack.json \\
+        /tmp/bj/BENCH_sat_attack.json
 
-Exit status: 0 = no regression, 1 = at least one histogram regressed,
-2 = usage/parse error. Histograms absent from either file are listed but
-never treated as regressions (benches add and retire instrumentation).
-Timings below --min-seconds (default 1ms) are ignored: at microsecond
-scale, scheduler noise swamps any real signal.
+Exit status: 0 = identical payloads, 1 = mismatch, 2 = usage/parse error.
 """
 
-import argparse
 import json
 import sys
+
+PAYLOAD = ("bench", "smoke", "tables", "notes")
+ABSENT = object()
 
 
 def load(path):
@@ -45,184 +36,62 @@ def load(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        sys.exit(f"compare_bench: cannot read {path}: {exc}")
+        print(f"compare_bench: cannot read {path}: {exc}", file=sys.stderr)
+        sys.exit(2)
     if doc.get("schema_version") != 1:
-        sys.exit(f"compare_bench: {path}: expected schema_version 1, "
-                 f"got {doc.get('schema_version')!r}")
-    return doc
+        print(f"compare_bench: {path}: expected schema_version 1, "
+              f"got {doc.get('schema_version')!r}", file=sys.stderr)
+        sys.exit(2)
+    return {key: doc.get(key) for key in PAYLOAD}
 
 
-def histograms(doc):
-    return doc.get("metrics", {}).get("histograms", {}) or {}
+def child(path, key):
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    if key.isidentifier():
+        return f"{path}.{key}" if path else key
+    return f"{path}[{json.dumps(key)}]"
 
 
-def fmt_delta(old, new):
-    if old == 0:
-        return "n/a" if new == 0 else "+inf"
-    return f"{100.0 * (new - old) / old:+.1f}%"
+def first_difference(expected, actual, path=""):
+    """The (path, expected, actual) of the first differing value, or None."""
+    if expected == actual:
+        return None
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        keys = list(expected) + [key for key in actual if key not in expected]
+        pairs = [(key, expected.get(key, ABSENT), actual.get(key, ABSENT))
+                 for key in keys]
+    elif isinstance(expected, list) and isinstance(actual, list):
+        pairs = [(i, expected[i] if i < len(expected) else ABSENT,
+                  actual[i] if i < len(actual) else ABSENT)
+                 for i in range(max(len(expected), len(actual)))]
+    else:
+        return path, expected, actual
+    for key, old, new in pairs:
+        found = first_difference(old, new, child(path, key))
+        if found:
+            return found
+    return path, expected, actual
 
 
-def identical(old_path, new_path):
-    """Exit 0 iff the deterministic payloads of the two runs match exactly.
-
-    Deterministic payload = bench name, smoke flag, tables, notes. Counters
-    are deterministic too at fixed thread count, but a resumed run
-    legitimately reports fewer fresh oracle queries than an uninterrupted
-    one (replayed answers are served from the journal), so metrics stay out
-    of the comparison on purpose.
-    """
-    old_doc, new_doc = load(old_path), load(new_path)
-    diffs = []
-    for key in ("bench", "smoke", "tables", "notes"):
-        if old_doc.get(key) != new_doc.get(key):
-            diffs.append(key)
-    if not diffs:
-        print(f"compare_bench: identical deterministic payload "
-              f"({old_path} vs {new_path})")
-        return 0
-    for key in diffs:
-        print(f"compare_bench: MISMATCH in {key!r}:")
-        print(f"  {old_path}: "
-              f"{json.dumps(old_doc.get(key), sort_keys=True)[:400]}")
-        print(f"  {new_path}: "
-              f"{json.dumps(new_doc.get(key), sort_keys=True)[:400]}")
-    return 1
-
-
-def trend(paths):
-    """Print per-bench p50 trajectories over N chronological snapshots."""
-    docs = [load(path) for path in paths]
-    # Group snapshot histograms by bench name, preserving file order.
-    by_bench = {}
-    for path, doc in zip(paths, docs):
-        by_bench.setdefault(doc.get("bench", "?"), []).append(
-            (path, histograms(doc), doc.get("wall_seconds")))
-
-    for bench in sorted(by_bench):
-        snapshots = by_bench[bench]
-        names = sorted({name for _, hists, _ in snapshots for name in hists})
-        print(f"== {bench} ({len(snapshots)} snapshot(s)) ==")
-        if not names:
-            print("  (no histograms)")
-            continue
-        width = max(len(name) for name in names)
-        for name in names:
-            p50s = [
-                float(hists[name]["p50"]) if name in hists else None
-                for _, hists, _ in snapshots
-            ]
-            cells = "  ".join(
-                f"{p:>10.6f}" if p is not None else f"{'-':>10}"
-                for p in p50s)
-            present = [p for p in p50s if p is not None]
-            overall = (fmt_delta(present[0], present[-1])
-                       if len(present) >= 2 else "n/a")
-            print(f"  {name:<{width}}  {cells}  [{overall}]")
-        walls = [w for _, _, w in snapshots if isinstance(w, (int, float))]
-        if len(walls) == len(snapshots):
-            cells = "  ".join(f"{w:>10.3f}" for w in walls)
-            print(f"  {'wall_seconds':<{width}}  {cells}  "
-                  f"[{fmt_delta(walls[0], walls[-1])}]")
-    return 0
+def show(value):
+    return "nothing" if value is ABSENT else json.dumps(value, sort_keys=True)
 
 
 def main():
-    parser = argparse.ArgumentParser(
-        description="Diff two schema-v1 BENCH_*.json files by histogram p50, "
-                    "or trend N of them chronologically.")
-    parser.add_argument(
-        "files", nargs="+",
-        help="BENCH_*.json files: exactly two (baseline, candidate) in diff "
-             "mode, one or more chronological snapshots with --trend")
-    parser.add_argument(
-        "--trend", action="store_true",
-        help="print per-bench p50 trajectories across all given files "
-             "instead of diffing a pair")
-    parser.add_argument(
-        "--identical", action="store_true",
-        help="require the deterministic payload (tables + notes) of two "
-             "files to match exactly; timings are ignored")
-    parser.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="fractional p50 growth that counts as a regression "
-             "(default: 0.25)")
-    parser.add_argument(
-        "--min-seconds", type=float, default=1e-3,
-        help="ignore histograms whose baseline p50 is below this many "
-             "seconds (default: 1e-3)")
-    args = parser.parse_args()
-    if args.threshold < 0:
-        parser.error("--threshold must be >= 0")
-    if args.trend and args.identical:
-        parser.error("--trend and --identical are mutually exclusive")
-    if args.trend:
-        return trend(args.files)
-    if len(args.files) != 2:
-        parser.error("diff mode takes exactly two files (old, new); "
-                     "use --trend for N-file trajectories")
-    if args.identical:
-        return identical(*args.files)
-    args.old, args.new = args.files
-
-    old_doc, new_doc = load(args.old), load(args.new)
-    if old_doc.get("bench") != new_doc.get("bench"):
-        print(f"compare_bench: note: comparing different benches "
-              f"({old_doc.get('bench')!r} vs {new_doc.get('bench')!r})")
-    if old_doc.get("smoke") != new_doc.get("smoke"):
-        print("compare_bench: note: smoke flags differ; timings are not "
-              "comparable like-for-like")
-
-    old_hists, new_hists = histograms(old_doc), histograms(new_doc)
-    shared = sorted(set(old_hists) & set(new_hists))
-    only_old = sorted(set(old_hists) - set(new_hists))
-    only_new = sorted(set(new_hists) - set(old_hists))
-
-    regressions = []
-    width = max([len(name) for name in shared] or [9])
-    print(f"{'histogram':<{width}}  {'old p50':>12}  {'new p50':>12}  "
-          f"{'delta':>8}  verdict")
-    for name in shared:
-        old_p50 = float(old_hists[name].get("p50", 0.0))
-        new_p50 = float(new_hists[name].get("p50", 0.0))
-        delta = fmt_delta(old_p50, new_p50)
-        if old_p50 < args.min_seconds:
-            verdict = "skipped (below --min-seconds)"
-        elif new_p50 > old_p50 * (1.0 + args.threshold):
-            verdict = "REGRESSION"
-            regressions.append(name)
-        elif new_p50 < old_p50:
-            verdict = "improved"
-        else:
-            verdict = "ok"
-        print(f"{name:<{width}}  {old_p50:>12.6f}  {new_p50:>12.6f}  "
-              f"{delta:>8}  {verdict}")
-
-    for name in only_old:
-        print(f"{name}: only in {args.old} (retired?)")
-    for name in only_new:
-        print(f"{name}: only in {args.new} (new instrumentation)")
-
-    old_notes = old_doc.get("notes", {}) or {}
-    new_notes = new_doc.get("notes", {}) or {}
-    numeric = sorted(
-        k for k in set(old_notes) & set(new_notes)
-        if isinstance(old_notes[k], (int, float))
-        and isinstance(new_notes[k], (int, float)))
-    if numeric:
-        print("\nnotes (informational):")
-        for key in numeric:
-            print(f"  {key}: {old_notes[key]:g} -> {new_notes[key]:g} "
-                  f"({fmt_delta(old_notes[key], new_notes[key])})")
-    ow, nw = old_doc.get("wall_seconds"), new_doc.get("wall_seconds")
-    if isinstance(ow, (int, float)) and isinstance(nw, (int, float)):
-        print(f"\nwall_seconds: {ow:.3f} -> {nw:.3f} ({fmt_delta(ow, nw)})")
-
-    if regressions:
-        print(f"\ncompare_bench: {len(regressions)} regression(s) above "
-              f"{100 * args.threshold:.0f}%: {', '.join(regressions)}")
-        return 1
-    print("\ncompare_bench: no regressions")
-    return 0
+    if len(sys.argv) != 3:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    expected_path, actual_path = sys.argv[1:]
+    found = first_difference(load(expected_path), load(actual_path))
+    if found is None:
+        print(f"compare_bench: {actual_path}: identical deterministic "
+              f"payload")
+        return 0
+    where, expected, actual = found
+    print(f"compare_bench: {actual_path} differs from {expected_path}\n"
+          f"  {where}: expected {show(expected)}, got {show(actual)}")
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
 // Shared bench harness: every bench main constructs a BenchReporter from its
 // argv, routes table printing through print() (byte-identical ASCII — it
 // delegates to Table::print), and ends with `return reporter.finish();`.
+// Only deterministic cells belong in a recorded table or note: the
+// bench_smoke ctest requires them to equal the bench's committed baseline
+// (bench/baselines/). Run-dependent numbers (timings, thread counts) go to
+// stdout through Table::print directly, or into the metrics registry.
 //
 // Flags understood (anything else warns on stderr and is ignored):
 //   --json [path]    also write a machine-readable BENCH_<name>.json

@@ -472,9 +472,8 @@ TEST(LintLexer, DigraphsNormaliseToPrimaryPunctuators) {
   EXPECT_NE(std::find(puncts.begin(), puncts.end(), "}"), puncts.end());
   EXPECT_NE(std::find(puncts.begin(), puncts.end(), "#"), puncts.end());
   // Stripped text keeps the physical byte count per line.
-  EXPECT_EQ(std::count(strip_comments_and_strings("a<:b:>").begin(),
-                       strip_comments_and_strings("a<:b:>").end(), '\n'),
-            0);
+  const std::string stripped = strip_comments_and_strings("a<:b:>");
+  EXPECT_EQ(std::count(stripped.begin(), stripped.end(), '\n'), 0);
 }
 
 TEST(LintLexer, DigraphLessColonColonStaysTemplateSyntax) {
