@@ -9,9 +9,7 @@
 //   * feed-forward arbiter PUF (representation mismatch: same attack);
 //   * and the Table I "general bound" per construction as the analytic
 //     anchor the curves should be compared against.
-#include <cstdlib>
 #include <iostream>
-#include <memory>
 
 #include "core/bounds.hpp"
 #include "core/experiment.hpp"
@@ -63,21 +61,9 @@ int main(int argc, char** argv) {
   // not re-fit on resume. All table values are deterministic, so a resumed
   // run is byte-identical to an uninterrupted one (the kill/resume gate
   // asserts exactly that).
-  std::unique_ptr<store::CheckpointSession> session;
-  if (reporter.checkpoint_enabled()) {
-    store::install_termination_handler();
-    try {
-      session = std::make_unique<store::CheckpointSession>(
-          reporter.checkpoint_path(), 11,
-          std::string("learning_curves.v1.smoke=") +
-              (reporter.smoke() ? "1" : "0"),
-          reporter.resume());
-    } catch (const support::snapshot::SnapshotError& error) {
-      std::cerr << "bench_learning_curves: unusable checkpoint path "
-                << reporter.checkpoint_path() << ": " << error.what() << "\n";
-      return 1;
-    }
-  }
+  const auto session =
+      store::open_bench_session(reporter, 11, "learning_curves.v1");
+
   std::cout << "== Modeling-attack learning curves (Ruehrmair product-of-"
                "LTFs model [8], parity features, n = 64) ==\n\n";
 
@@ -107,7 +93,7 @@ int main(int argc, char** argv) {
   const auto cell = [&](const char* series, const puf::Puf& target,
                         std::size_t chains, std::size_t budget,
                         std::size_t seed) {
-    const double accuracy = store::checkpointed_unit<double>(
+    return store::checkpointed_unit<double>(
         session.get(),
         std::string("cell.") + series + "." + std::to_string(budget),
         [&] {
@@ -118,13 +104,6 @@ int main(int argc, char** argv) {
           w.f64(v);
         },
         [](support::snapshot::SectionReader& r) { return r.f64(); });
-    store::note_cell_completed(session.get());
-    if (session != nullptr && store::termination_requested()) {
-      std::cerr << "bench_learning_curves: termination requested; "
-                   "checkpoint flushed, resume with --resume\n";
-      std::exit(143);
-    }
-    return accuracy;
   };
 
   double final_k1 = 0.0, final_k2 = 0.0, final_k3 = 0.0;

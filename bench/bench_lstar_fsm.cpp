@@ -5,9 +5,7 @@
 // DFA regardless of how the design is represented, and with it the unlock
 // sequence. We sweep FSM size and unlock length and report query counts —
 // polynomial throughout — plus the recovered unlock sequences.
-#include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "attack/fsm_bmc.hpp"
@@ -93,28 +91,7 @@ int main(int argc, char** argv) {
   // Crash-safe sweeps (--checkpoint/--resume): one cell per table row;
   // finished cells replay their stored outcome instead of re-learning, and
   // the table text comes out byte-identical either way.
-  std::unique_ptr<store::CheckpointSession> session;
-  if (reporter.checkpoint_enabled()) {
-    store::install_termination_handler();
-    try {
-      session = std::make_unique<store::CheckpointSession>(
-          reporter.checkpoint_path(), 17,
-          std::string("lstar_fsm.v1.smoke=") + (reporter.smoke() ? "1" : "0"),
-          reporter.resume());
-    } catch (const support::snapshot::SnapshotError& error) {
-      std::cerr << "bench_lstar_fsm: unusable checkpoint path "
-                << reporter.checkpoint_path() << ": " << error.what() << "\n";
-      return 1;
-    }
-  }
-  const auto after_cell = [&session] {
-    store::note_cell_completed(session.get());
-    if (session != nullptr && store::termination_requested()) {
-      std::cerr << "bench_lstar_fsm: termination requested; checkpoint "
-                   "flushed, resume with --resume\n";
-      std::exit(143);
-    }
-  };
+  const auto session = store::open_bench_session(reporter, 17, "lstar_fsm.v1");
 
   std::cout << "== L* vs HARPOON-style FSM obfuscation ==\n\n";
 
@@ -174,7 +151,6 @@ int main(int argc, char** argv) {
             return out;
           },
           put_sweep_cell, get_sweep_cell);
-      after_cell();
 
       table.add_row({std::to_string(states), std::to_string(unlock_len),
                      std::to_string(cell.dfa_states),
@@ -227,7 +203,6 @@ int main(int argc, char** argv) {
             return out;
           },
           put_duel_cell, get_duel_cell);
-      after_cell();
       duel.add_row({std::to_string(states), std::to_string(unlock_len),
                     std::to_string(cell.mqs), "0",
                     std::to_string(cell.conflicts),

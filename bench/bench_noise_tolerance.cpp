@@ -14,9 +14,7 @@
 // conclusion an evaluator would draw — the table shows exactly where a
 // flipped classification-noise rate or a lockdown budget flips the verdict
 // from "attack succeeds" to "attack fails" (the paper's pitfall).
-#include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "boolfn/truth_table.hpp"
@@ -63,20 +61,8 @@ int main(int argc, char** argv) {
   // oracle traffic and store their outcomes; a killed run resumed from the
   // snapshot replays the in-flight cell's journal (charging no budget) and
   // skips completed cells, ending byte-identical to an uninterrupted run.
-  std::unique_ptr<store::CheckpointSession> session;
-  if (reporter.checkpoint_enabled()) {
-    store::install_termination_handler();
-    try {
-      session = std::make_unique<store::CheckpointSession>(
-          reporter.checkpoint_path(), 7,
-          std::string("noise_tolerance.v1.smoke=") + (smoke ? "1" : "0"),
-          reporter.resume());
-    } catch (const support::snapshot::SnapshotError& error) {
-      std::cerr << "bench_noise_tolerance: unusable checkpoint path "
-                << reporter.checkpoint_path() << ": " << error.what() << "\n";
-      return 1;
-    }
-  }
+  const auto session = store::open_bench_session(reporter, 7,
+                                                 "noise_tolerance.v1");
 
   std::cout << "== Attribute-noise tolerance: LMN vs Perceptron ==\n"
             << "(2-XOR arbiter PUF, n=12, feature-space view, noisy "
@@ -187,15 +173,6 @@ int main(int argc, char** argv) {
                    to_string(outcome.status), Table::fmt(100.0 * heldout, 1),
                    Table::fmt(100.0 * ideal, 1), verdict(ideal)});
   };
-  // Cooperative SIGTERM flush: the outcome of every finished cell is already
-  // persisted, so exit at the cell boundary and let --resume continue.
-  const auto stop_if_terminating = [&] {
-    if (session != nullptr && store::termination_requested()) {
-      std::cerr << "bench_noise_tolerance: termination requested; checkpoint "
-                   "flushed, resume with --resume\n";
-      std::exit(143);
-    }
-  };
   std::size_t cell_index = 0;
   for (const double eta : etas) {
     for (const std::size_t budget : budgets) {
@@ -219,8 +196,7 @@ int main(int argc, char** argv) {
                 return robust_perceptron(oracle, ml::parity_with_bias, config,
                                          rng);
               store::RecordingOracle journal(oracle, *session, cell + ".log",
-                                             &oracle,
-                                             reporter.checkpoint_every());
+                                             &oracle);
               return robust_perceptron(journal, ml::parity_with_bias, config,
                                        rng);
             },
@@ -235,7 +211,6 @@ int main(int argc, char** argv) {
               });
             });
         add_sweep_row(eta, budget, "perceptron", outcome);
-        stop_if_terminating();
       }
       {
         const std::string cell = "cell." + std::to_string(cell_index++);
@@ -248,8 +223,7 @@ int main(int argc, char** argv) {
               Rng rng(43);
               if (session == nullptr) return robust_lmn(oracle, 2, config, rng);
               store::RecordingOracle journal(oracle, *session, cell + ".log",
-                                             &oracle,
-                                             reporter.checkpoint_every());
+                                             &oracle);
               return robust_lmn(journal, 2, config, rng);
             },
             [](auto& w, const LearnOutcome<ml::SparseFourierHypothesis>& o) {
@@ -264,7 +238,6 @@ int main(int argc, char** argv) {
                   [](auto& hr) { return store::get_sparse_fourier(hr); });
             });
         add_sweep_row(eta, budget, "lmn", outcome);
-        stop_if_terminating();
       }
     }
   }

@@ -14,9 +14,7 @@
 // bench_smoke requires to equal that baseline; per-attack wall time goes
 // to the attack.sat_attack.seconds histogram and the attack.sat_attack
 // spans instead.
-#include <cstdlib>
 #include <iostream>
-#include <memory>
 
 #include "attack/sat_attack.hpp"
 #include "circuit/generator.hpp"
@@ -43,6 +41,37 @@ struct Workload {
   Netlist netlist;
 };
 
+/// One attack cell's checkpointed record: everything its table row and
+/// the seconds histogram need.
+struct AttackCell {
+  attack::SatAttackResult result;
+  bool exact = false;
+  double seconds = 0.0;
+};
+
+void put_attack_cell(support::snapshot::SectionWriter& w,
+                     const AttackCell& cell) {
+  store::put_bitvec(w, cell.result.key);
+  w.u64(cell.result.dip_iterations);
+  w.u64(cell.result.oracle_queries);
+  w.u64(cell.result.solver_stats.conflicts);
+  w.u8(cell.result.success ? 1 : 0);
+  w.u8(cell.exact ? 1 : 0);
+  w.f64(cell.seconds);
+}
+
+AttackCell get_attack_cell(support::snapshot::SectionReader& r) {
+  AttackCell cell;
+  cell.result.key = store::get_bitvec(r);
+  cell.result.dip_iterations = static_cast<std::size_t>(r.u64());
+  cell.result.oracle_queries = static_cast<std::size_t>(r.u64());
+  cell.result.solver_stats.conflicts = r.u64();
+  cell.result.success = r.u8() != 0;
+  cell.exact = r.u8() != 0;
+  cell.seconds = r.f64();
+  return cell;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -52,20 +81,7 @@ int main(int argc, char** argv) {
   // their DIP observations (resume replays them — same key, DIPs and
   // conflicts, no repeated oracle queries); finished cells store their full
   // result row, including the measured seconds, and are not re-run.
-  std::unique_ptr<store::CheckpointSession> session;
-  if (reporter.checkpoint_enabled()) {
-    store::install_termination_handler();
-    try {
-      session = std::make_unique<store::CheckpointSession>(
-          reporter.checkpoint_path(), 7,
-          std::string("sat_attack.v1.smoke=") + (reporter.smoke() ? "1" : "0"),
-          reporter.resume());
-    } catch (const support::snapshot::SnapshotError& error) {
-      std::cerr << "bench_sat_attack: unusable checkpoint path "
-                << reporter.checkpoint_path() << ": " << error.what() << "\n";
-      return 1;
-    }
-  }
+  const auto session = store::open_bench_session(reporter, 7, "sat_attack.v2");
 
   std::cout << "== SAT attack on XOR/XNOR-locked circuits ==\n\n";
 
@@ -117,68 +133,35 @@ int main(int argc, char** argv) {
       const LockedCircuit locked =
           lock::lock_random_xor(workload.netlist, key_bits, lock_rng);
 
-      attack::SatAttackResult result;
-      double seconds = 0.0;
-      bool exact = false;
-      if (session != nullptr && session->has_section(cell + ".result")) {
-        auto r = session->reader(cell + ".result");
-        result.key = store::get_bitvec(r);
-        result.dip_iterations = static_cast<std::size_t>(r.u64());
-        result.oracle_queries = static_cast<std::size_t>(r.u64());
-        result.solver_stats.conflicts = r.u64();
-        result.success = r.u8() != 0;
-        exact = r.u8() != 0;
-        seconds = r.f64();
-      } else {
-        CircuitOracle oracle = CircuitOracle::from_netlist(workload.netlist);
-        store::AttackObservationJournal journal(session.get(), cell + ".log");
-        attack_config.journal = &journal;
-
-        core::Stopwatch watch;
-        try {
-          result = attack::sat_attack(locked, oracle, attack_config);
-        } catch (const store::ReplayDivergenceError&) {
-          // Stale journal (config/code drift): drop it, run the cell clean.
-          session->remove_section(cell + ".log");
-          CircuitOracle retry_oracle =
-              CircuitOracle::from_netlist(workload.netlist);
-          store::AttackObservationJournal clean_journal(session.get(),
-                                                        cell + ".log");
-          attack_config.journal = &clean_journal;
-          result = attack::sat_attack(locked, retry_oracle, attack_config);
-        }
-        seconds = watch.seconds();
-
-        exact = result.success &&
-                attack::keys_equivalent(workload.netlist, locked, result.key);
-        if (session != nullptr) {
-          auto& w = session->reset_section(cell + ".result");
-          store::put_bitvec(w, result.key);
-          w.u64(result.dip_iterations);
-          w.u64(result.oracle_queries);
-          w.u64(result.solver_stats.conflicts);
-          w.u8(result.success ? 1 : 0);
-          w.u8(exact ? 1 : 0);
-          w.f64(seconds);
-          session->remove_section(cell + ".log");
-          session->flush();
-        }
-      }
-      attack_seconds.observe(seconds);
-      total_dips += result.dip_iterations;
+      const AttackCell outcome = store::checkpointed_unit<AttackCell>(
+          session.get(), cell,
+          [&] {
+            CircuitOracle oracle =
+                CircuitOracle::from_netlist(workload.netlist);
+            store::AttackObservationJournal journal(session.get(),
+                                                    cell + ".log");
+            attack::SatAttackConfig config = attack_config;
+            config.journal = &journal;
+            core::Stopwatch watch;
+            AttackCell out;
+            out.result = attack::sat_attack(locked, oracle, config);
+            out.seconds = watch.seconds();
+            out.exact = out.result.success &&
+                        attack::keys_equivalent(workload.netlist, locked,
+                                                out.result.key);
+            return out;
+          },
+          put_attack_cell, get_attack_cell);
+      attack_seconds.observe(outcome.seconds);
+      total_dips += outcome.result.dip_iterations;
       table.add_row({workload.name,
                      std::to_string(workload.netlist.num_inputs()),
                      std::to_string(workload.netlist.logic_gate_count()),
                      std::to_string(key_bits),
-                     std::to_string(result.dip_iterations),
-                     std::to_string(result.oracle_queries),
-                     std::to_string(result.solver_stats.conflicts),
-                     exact ? "yes" : "NO"});
-      if (session != nullptr && store::termination_requested()) {
-        std::cerr << "bench_sat_attack: termination requested; checkpoint "
-                     "flushed, resume with --resume\n";
-        std::exit(143);
-      }
+                     std::to_string(outcome.result.dip_iterations),
+                     std::to_string(outcome.result.oracle_queries),
+                     std::to_string(outcome.result.solver_stats.conflicts),
+                     outcome.exact ? "yes" : "NO"});
     }
   }
   reporter.print(std::cout, table);

@@ -7,10 +7,11 @@
 #      more after it) over a 1M-token fleet, streamed output schema-checked
 #      by check_serve_stream.py
 #   2. the full output stream is byte-identical at PITFALLS_THREADS 1/2/4/8
-#   3. kill -9 mid-wave (deterministic stand-in: the daemon hard-exits 137
-#      after its 3rd journaled job) and a --resume run that must serve the
-#      journaled outcomes back -- the complete outcome stream has to match
-#      the uninterrupted reference byte for byte
+#   3. kill -9 mid-wave (deterministic stand-in: the store's crash hook,
+#      PITFALLS_CRASH_AFTER_FLUSHES, hard-exits 137 right after the 3rd
+#      checkpoint flush, i.e. the 3rd journaled job) and a --resume run that
+#      must serve the journaled outcomes back -- the complete outcome stream
+#      has to match the uninterrupted reference byte for byte
 #   4. budget-refill continuation: a lockdown-tripped attack session is
 #      continued with a larger query budget, and the continuation outcome
 #      must be byte-identical to an uninterrupted run with that budget
@@ -111,7 +112,7 @@ done
 
 # --- 3. kill -9 mid-wave, then resume -----------------------------------
 echo "== crash after 3 journaled jobs, then --resume =="
-PITFALLS_THREADS=2 PITFALLS_SERVE_KILL_AFTER_JOBS=3 \
+PITFALLS_THREADS=2 PITFALLS_CRASH_AFTER_FLUSHES=3 \
   "$served" --tokens 1000000 --seed 42 --checkpoint "$work/ck.snap" \
   < "$work/jobs.txt" > "$work/crash.out"
 crash_status=$?

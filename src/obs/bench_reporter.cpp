@@ -1,8 +1,8 @@
 #include "obs/bench_reporter.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
@@ -11,64 +11,55 @@
 
 namespace pitfalls::obs {
 
+namespace {
+
+// Parses `--flag [path]` / `--flag=path` at argv[i] into `out`, stepping i
+// past a path operand; an omitted or empty path means `fallback`. False
+// when argv[i] is another argument.
+bool path_flag(int argc, char** argv, int& i, std::string_view flag,
+               const std::string& fallback, std::string& out) {
+  const std::string_view arg = argv[i];
+  if (arg == flag) {
+    // Optional path operand; a following flag means "use the default".
+    out = i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i] : fallback;
+    return true;
+  }
+  if (arg.size() <= flag.size() || arg.substr(0, flag.size()) != flag ||
+      arg[flag.size()] != '=')
+    return false;
+  out = arg.substr(flag.size() + 1);
+  if (out.empty()) out = fallback;
+  return true;
+}
+
+}  // namespace
+
 BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
   PITFALLS_REQUIRE(!name_.empty(), "bench reporter needs a bench name");
   PITFALLS_REQUIRE(argc == 0 || argv != nullptr,
                    "argv must be non-null when argc > 0");
-  const std::string default_path = "BENCH_" + name_ + ".json";
-  const std::string default_trace_path = "TRACE_" + name_ + ".json";
   const std::string default_checkpoint_path = "CKPT_" + name_ + ".snap";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--smoke") {
       smoke_ = true;
-    } else if (arg == "--json") {
-      // Optional path operand; a following flag means "use the default".
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        json_path_ = argv[++i];
-      else
-        json_path_ = default_path;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path_ = arg.substr(7);
-      if (json_path_.empty()) json_path_ = default_path;
-    } else if (arg == "--trace") {
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        trace_path_ = argv[++i];
-      else
-        trace_path_ = default_trace_path;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path_ = arg.substr(8);
-      if (trace_path_.empty()) trace_path_ = default_trace_path;
-    } else if (arg == "--checkpoint" || arg == "--resume") {
-      resume_ = resume_ || arg == "--resume";
-      if (i + 1 < argc && argv[i + 1][0] != '-')
-        checkpoint_path_ = argv[++i];
-      else
-        checkpoint_path_ = default_checkpoint_path;
-    } else if (arg.rfind("--checkpoint=", 0) == 0 ||
-               arg.rfind("--resume=", 0) == 0) {
-      resume_ = resume_ || arg.rfind("--resume=", 0) == 0;
-      checkpoint_path_ = arg.substr(arg.find('=') + 1);
-      if (checkpoint_path_.empty()) checkpoint_path_ = default_checkpoint_path;
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      const std::string value(arg.substr(19));
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed == 0) {
-        std::cerr << "bench_" << name_
-                  << ": --checkpoint-every needs a positive integer, got '"
-                  << value << "'\n";
-      } else {
-        checkpoint_every_ = static_cast<std::size_t>(parsed);
-      }
-    } else {
+    } else if (arg == "--resume") {
+      resume_ = true;
+    } else if (!path_flag(argc, argv, i, "--json", "BENCH_" + name_ + ".json",
+                          json_path_) &&
+               !path_flag(argc, argv, i, "--trace",
+                          "TRACE_" + name_ + ".json", trace_path_) &&
+               !path_flag(argc, argv, i, "--checkpoint",
+                          default_checkpoint_path, checkpoint_path_)) {
       std::cerr << "bench_" << name_ << ": ignoring unknown argument '" << arg
                 << "' (known: --json [path], --json=path, --trace [path], "
-                   "--trace=path, --checkpoint [path], --resume [path], "
-                   "--checkpoint-every=N, --smoke)\n";
+                   "--trace=path, --checkpoint [path], --checkpoint=path, "
+                   "--resume, --smoke)\n";
     }
   }
+  if (resume_ && checkpoint_path_.empty())
+    checkpoint_path_ = default_checkpoint_path;
 }
 
 void BenchReporter::print(std::ostream& os, const support::Table& table,

@@ -24,13 +24,11 @@
 //                    snapshot (fresh run). Which benches honour the flag is
 //                    up to the bench (checkpoint-aware benches document it).
 //   --checkpoint=path    same, explicit path.
-//   --resume [path]  like --checkpoint, but first load the snapshot when
-//                    present and valid — the continued run is byte-identical
-//                    to an uninterrupted one; a corrupt snapshot degrades to
-//                    a clean restart (store.snapshot.corrupt metric).
-//   --resume=path    same, explicit path.
-//   --checkpoint-every=N  flush cadence in recorded oracle events
-//                    (default 256).
+//   --resume         checkpoint as above (at the --checkpoint path, else the
+//                    default), but first load the snapshot when present and
+//                    valid — the continued run is byte-identical to an
+//                    uninterrupted one; a corrupt snapshot degrades to a
+//                    clean restart (store.snapshot.corrupt metric).
 //
 // JSON schema (schema_version 1):
 //   { "schema_version": 1, "bench": str, "smoke": bool,
@@ -57,6 +55,7 @@ class BenchReporter {
   /// bench_table1_bounds); it names the default output file.
   BenchReporter(std::string name, int argc, char** argv);
 
+  const std::string& name() const { return name_; }
   bool smoke() const { return smoke_; }
   bool json_enabled() const { return !json_path_.empty(); }
   bool trace_enabled() const { return !trace_path_.empty(); }
@@ -66,7 +65,6 @@ class BenchReporter {
   /// --resume: load an existing snapshot instead of starting fresh.
   bool resume() const { return resume_; }
   const std::string& checkpoint_path() const { return checkpoint_path_; }
-  std::size_t checkpoint_every() const { return checkpoint_every_; }
 
   /// Print the table exactly as Table::print would, and record its cells
   /// for the JSON report.
@@ -99,7 +97,6 @@ class BenchReporter {
   std::string trace_path_;
   std::string checkpoint_path_;
   bool resume_ = false;
-  std::size_t checkpoint_every_ = 256;
   bool smoke_ = false;
   std::chrono::steady_clock::time_point start_;
   std::vector<RecordedTable> tables_;

@@ -1,6 +1,5 @@
 #include "serve/daemon.hpp"
 
-#include <cstdlib>
 #include <exception>
 #include <utility>
 
@@ -10,24 +9,12 @@
 
 namespace pitfalls::serve {
 
-namespace {
-
-std::uint64_t kill_after_from_env() {
-  const char* env = std::getenv("PITFALLS_SERVE_KILL_AFTER_JOBS");
-  if (env == nullptr) return 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return 0;
-  return static_cast<std::uint64_t>(value);
-}
-
-}  // namespace
-
 Daemon::Daemon(const DaemonConfig& config)
     : config_(config),
       fleet_(config.fleet),
-      scheduler_(fleet_, config.checkpoint_path),
-      kill_after_jobs_(kill_after_from_env()) {
+      scheduler_(fleet_, config.checkpoint_path) {
+  PITFALLS_REQUIRE(!config_.resume || !config_.checkpoint_path.empty(),
+                   "--resume needs a --checkpoint path to load");
   if (!config_.checkpoint_path.empty())
     session_ = std::make_unique<store::CheckpointSession>(
         config_.checkpoint_path, fleet_.config().seed, fleet_.fingerprint(),
@@ -113,15 +100,8 @@ void Daemon::run_pending(LineChannel& channel) {
     }
     for (const std::string& line : blocks[i].lines) channel.write_line(line);
     ++jobs_emitted_;
-    if (session_ && !skip[i] && blocks[i].ok) {
+    if (session_ && !skip[i] && blocks[i].ok)
       journal_block(specs[i], blocks[i]);
-      ++jobs_journaled_;
-      if (kill_after_jobs_ != 0 && jobs_journaled_ >= kill_after_jobs_) {
-        // Deterministic kill -9 stand-in (see header): the journal holds
-        // exactly the blocks flushed so far; nothing is drained.
-        std::_Exit(137);
-      }
-    }
   }
   pending_.clear();
 }

@@ -28,8 +28,10 @@
 // flushed after each job. A daemon restarted with --resume serves journaled
 // outcomes back without re-executing — provided the resubmitted spec
 // fingerprints identically — so kill -9 mid-run plus a resume replays the
-// identical outcome stream. SIGTERM is cooperative (store termination
-// flag): polled between protocol lines, it drains and exits 143.
+// identical outcome stream (store::CheckpointSession::flush's crash hook
+// stands in for the kill deterministically). SIGTERM is cooperative (store
+// termination flag): polled between protocol lines, it drains and exits
+// 143.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +52,8 @@ struct DaemonConfig {
   TokenFleetConfig fleet;
   /// Empty: no persistence (sessions and resume disabled).
   std::string checkpoint_path;
-  /// Load an existing checkpoint and serve journaled outcomes back.
+  /// Load an existing checkpoint and serve journaled outcomes back. Needs
+  /// checkpoint_path; the Daemon constructor rejects resume without one.
   bool resume = false;
 };
 
@@ -86,12 +89,6 @@ class Daemon {
   std::vector<Pending> pending_;
   std::map<std::string, bool> seen_ids_;  // duplicate-submission guard
   std::uint64_t jobs_emitted_ = 0;
-  /// PITFALLS_SERVE_KILL_AFTER_JOBS: deterministic kill -9 stand-in — after
-  /// the N-th journaled job the daemon exits hard (status 137, SIGKILL's)
-  /// without draining, landing the crash between journal flushes without
-  /// signal-delivery races. 0 = disabled.
-  std::uint64_t kill_after_jobs_ = 0;
-  std::uint64_t jobs_journaled_ = 0;
 };
 
 }  // namespace pitfalls::serve

@@ -1,8 +1,12 @@
 #include "store/checkpoint.hpp"
 
+#include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <iostream>
 #include <utility>
 
+#include "obs/bench_reporter.hpp"
 #include "obs/metrics.hpp"
 
 namespace pitfalls::store {
@@ -41,6 +45,20 @@ struct StoreMetrics {
 };
 
 volatile std::sig_atomic_t g_termination_requested = 0;
+
+// PITFALLS_CRASH_AFTER_FLUSHES as a positive integer (digits only), or 0:
+// hook off.
+std::uint64_t crash_after_flushes_from_env() {
+  const char* env = std::getenv("PITFALLS_CRASH_AFTER_FLUSHES");
+  if (env == nullptr || *env < '0' || *env > '9') return 0;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(env, &end, 10);
+  return *end == '\0' && errno == 0 ? value : 0;
+}
+
+const std::uint64_t g_crash_after_flushes = crash_after_flushes_from_env();
+std::atomic<std::uint64_t> g_flushes{0};
 
 extern "C" void on_termination_signal(int) { g_termination_requested = 1; }
 
@@ -86,6 +104,9 @@ void CheckpointSession::flush() {
   StoreMetrics& metrics = StoreMetrics::get();
   metrics.writes.add(1);
   metrics.bytes_written.add(image.size());
+  if (g_crash_after_flushes != 0 &&
+      g_flushes.fetch_add(1) + 1 == g_crash_after_flushes)
+    std::_Exit(137);
 }
 
 void note_replayed_query() { StoreMetrics::get().replayed_queries.add(1); }
@@ -106,15 +127,27 @@ void clear_termination() { g_termination_requested = 0; }
 
 bool termination_requested() { return g_termination_requested != 0; }
 
-void note_cell_completed(const CheckpointSession* session) {
-  if (session == nullptr) return;
-  static const long limit = [] {
-    const char* env = std::getenv("PITFALLS_EXIT_AFTER_CELLS");
-    return env == nullptr ? 0L : std::strtol(env, nullptr, 10);
-  }();
-  if (limit <= 0) return;
-  static long completed = 0;
-  if (++completed >= limit) request_termination();
+void exit_if_terminating(const CheckpointSession& session) {
+  if (!termination_requested()) return;
+  std::cerr << "termination requested: checkpoint " << session.path()
+            << " flushed; continue with --resume\n";
+  std::exit(143);
+}
+
+std::unique_ptr<CheckpointSession> open_bench_session(
+    const obs::BenchReporter& reporter, std::uint64_t seed,
+    const std::string& tag) {
+  if (!reporter.checkpoint_enabled()) return nullptr;
+  install_termination_handler();
+  try {
+    return std::make_unique<CheckpointSession>(
+        reporter.checkpoint_path(), seed,
+        tag + ".smoke=" + (reporter.smoke() ? "1" : "0"), reporter.resume());
+  } catch (const SnapshotError& error) {
+    std::cerr << "bench_" << reporter.name() << ": unusable checkpoint path "
+              << reporter.checkpoint_path() << ": " << error.what() << "\n";
+    std::exit(1);
+  }
 }
 
 RecordingOracle::RecordingOracle(

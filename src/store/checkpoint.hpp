@@ -23,12 +23,17 @@
 #pragma once
 
 #include <csignal>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ml/robust/faults.hpp"
 #include "store/serialize.hpp"
 #include "support/snapshot/snapshot.hpp"
+
+namespace pitfalls::obs {
+class BenchReporter;
+}
 
 namespace pitfalls::store {
 
@@ -76,6 +81,16 @@ class CheckpointSession {
   support::snapshot::SectionReader reader(const std::string& name);
 
   /// Atomically persist the current sections to path().
+  ///
+  /// The store's one crash hook: when PITFALLS_CRASH_AFTER_FLUSHES holds a
+  /// positive integer N, the process ends with std::_Exit(137) (SIGKILL's
+  /// status) right after its N-th flush returns. The snapshot is durable
+  /// then, so the process leaves exactly what a SIGKILL between two flushes
+  /// would. The variable is read once; any other value turns the hook off.
+  /// The count is per process, across sessions and threads, so the crash
+  /// point is deterministic wherever a single thread flushes: the
+  /// checkpointed benches, and a daemon run with no "session" jobs (whose
+  /// oracle journals flush from pool threads).
   void flush();
 
  private:
@@ -98,17 +113,22 @@ void note_replayed_query();
 /// request_termination() sets the flag directly (deadline expiry, tests).
 void install_termination_handler();
 void request_termination();
-
-/// Deterministic crash hook for the kill/resume gates: benches call this
-/// once per completed checkpointable cell. When the PITFALLS_EXIT_AFTER_CELLS
-/// environment variable is a positive integer N and `session` is active,
-/// the N-th completed cell requests termination exactly as SIGTERM would —
-/// the bench flushes and exits 143 at its next poll, landing the "crash"
-/// between cells without SIGKILL timing races. No-op without the variable
-/// or without a session.
-void note_cell_completed(const CheckpointSession* session);
 void clear_termination();
 bool termination_requested();
+
+/// The cooperative exit at a cell boundary (checkpointed_unit ends with
+/// it): once termination is requested, name the session's flushed snapshot
+/// on stderr and exit 143, so --resume continues from the next cell.
+void exit_if_terminating(const CheckpointSession& session);
+
+/// A checkpointed bench's session. Null without --checkpoint/--resume;
+/// otherwise installs the SIGTERM handler and opens the reporter's
+/// checkpoint path for run identity (seed, "<tag>.smoke=<0|1>"), loading
+/// an existing snapshot on --resume. An unusable path prints a message and
+/// exits 1.
+std::unique_ptr<CheckpointSession> open_bench_session(
+    const obs::BenchReporter& reporter, std::uint64_t seed,
+    const std::string& tag);
 
 /// MembershipOracle decorator that journals every interaction into a
 /// session section and serves a restored journal back on resume.
@@ -178,11 +198,13 @@ class RecordingOracle final : public ml::MembershipOracle {
   ml::robust::FaultyMembershipOracle::State restored_state_;
 };
 
-/// Cell-level resume for bench sweeps: if `session` already holds a decoded
-/// outcome for `name`, return it without running; otherwise run, store the
-/// encoded outcome, drop the cell's journal sections, and flush. A
-/// ReplayDivergenceError from `run` (stale journal) drops the journal and
-/// runs the cell clean — graceful degradation, never silent divergence.
+/// Cell-level resume for bench sweeps, and the one place a bench's cell
+/// boundary lives. Without a session, just run. Otherwise, if `session`
+/// already holds a decoded outcome for `name`, return it without running;
+/// if not, run, store the encoded outcome, drop the cell's journal
+/// sections, and flush. A ReplayDivergenceError from `run` (stale journal)
+/// drops the journal and runs the cell clean — graceful degradation, never
+/// silent divergence. Either way the cell ends with exit_if_terminating().
 ///
 /// Conventions: the outcome lives in "<name>.outcome"; `run`'s
 /// RecordingOracle should journal into "<name>.log" (its fault-channel
@@ -190,30 +212,31 @@ class RecordingOracle final : public ml::MembershipOracle {
 template <typename T, typename RunFn, typename PutFn, typename GetFn>
 T checkpointed_unit(CheckpointSession* session, const std::string& name,
                     RunFn&& run, PutFn&& put, GetFn&& get) {
+  if (session == nullptr) return run();
   const std::string outcome_section = name + ".outcome";
-  const std::string log_section = name + ".log";
-  if (session != nullptr && session->has_section(outcome_section)) {
+  if (session->has_section(outcome_section)) {
     support::snapshot::SectionReader r = session->reader(outcome_section);
-    return get(r);
+    T stored = get(r);
+    exit_if_terminating(*session);
+    return stored;
   }
+  const std::string log_section = name + ".log";
+  const auto drop_log = [&] {
+    session->remove_section(log_section);
+    session->remove_section(log_section + ".oracle");
+  };
   T result = [&]() -> T {
-    if (session == nullptr) return run();
     try {
       return run();
     } catch (const ReplayDivergenceError&) {
-      session->remove_section(log_section);
-      session->remove_section(log_section + ".oracle");
+      drop_log();
       return run();
     }
   }();
-  if (session != nullptr) {
-    support::snapshot::SectionWriter& w =
-        session->reset_section(outcome_section);
-    put(w, result);
-    session->remove_section(log_section);
-    session->remove_section(log_section + ".oracle");
-    session->flush();
-  }
+  put(session->reset_section(outcome_section), result);
+  drop_log();
+  session->flush();
+  exit_if_terminating(*session);
   return result;
 }
 

@@ -404,6 +404,36 @@ TEST(BenchReporterTest, FinishWritesSchemaV1Json) {
   std::remove(path.c_str());
 }
 
+TEST(BenchReporterTest, ResumeOnlyAsksForALoadAndKeepsTheCheckpointPath) {
+  struct Case {
+    std::vector<const char*> args;
+    std::string path;
+    bool resume;
+  };
+  const std::vector<Case> cases = {
+      {{"--checkpoint=x.snap", "--resume"}, "x.snap", true},
+      {{"--resume", "--checkpoint=x.snap"}, "x.snap", true},
+      {{"--checkpoint", "x.snap", "--resume"}, "x.snap", true},
+      {{"--resume"}, "CKPT_obs_test.snap", true},
+      {{"--checkpoint"}, "CKPT_obs_test.snap", false},
+  };
+  for (const Case& c : cases) {
+    std::vector<const char*> argv = {"bench_obs_test"};
+    std::string command_line = argv[0];
+    for (const char* arg : c.args) {
+      argv.push_back(arg);
+      command_line += std::string(" ") + arg;
+    }
+    SCOPED_TRACE(command_line);
+    const obs::BenchReporter reporter("obs_test",
+                                      static_cast<int>(argv.size()),
+                                      const_cast<char**>(argv.data()));
+    EXPECT_TRUE(reporter.checkpoint_enabled());
+    EXPECT_EQ(reporter.checkpoint_path(), c.path);
+    EXPECT_EQ(reporter.resume(), c.resume);
+  }
+}
+
 TEST(BenchReporterTest, NoJsonFlagWritesNothing) {
   const char* argv[] = {"bench_obs_test"};
   obs::BenchReporter reporter("obs_test_nojson", 1, const_cast<char**>(argv));

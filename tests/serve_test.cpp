@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -528,6 +529,21 @@ TEST(ServeDaemon, ResumeRefusesMismatchedSpecFingerprint) {
   EXPECT_TRUE(find_line(second.lines, "ack", "a1").empty());
   EXPECT_TRUE(find_line(second.lines, "outcome", "a1").empty());
   EXPECT_TRUE(find_line(second.lines, "resumed", "a1").empty());
+}
+
+TEST(ServeDaemon, ResumeWithoutCheckpointIsRejected) {
+  // With no journal to read, --resume would silently re-execute every job
+  // and refuse "session" jobs; the daemon refuses to start instead.
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.resume = true;
+  try {
+    serve::Daemon daemon(config);
+    ADD_FAILURE() << "--resume without --checkpoint was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--checkpoint"),
+              std::string::npos);
+  }
 }
 
 // ------------------------------------------- budget-refill continuation

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -454,6 +455,32 @@ TEST(CheckpointSession, IdentityMismatchStartsCleanWithoutCorruptFlag) {
   EXPECT_EQ(counter_value("store.snapshot.corrupt"), corrupt0);
 }
 
+TEST(CheckpointSession, CrashHookExitsRightAfterTheNthFlush) {
+  TempSnapshot file("crash");
+  // The threadsafe style re-executes this binary, whose store reads the
+  // hook's variable afresh at startup; this process never sees it armed.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  setenv("PITFALLS_CRASH_AFTER_FLUSHES", "2", 1);
+  const auto flush_three_times = [&] {
+    store::CheckpointSession session(file.path(), 7, "p", false);
+    session.section("a").u32(1);
+    session.flush();
+    session.section("a").u32(2);
+    session.flush();
+    session.section("a").u32(3);
+    session.flush();
+  };
+  EXPECT_EXIT(flush_three_times(), ::testing::ExitedWithCode(137), "");
+  unsetenv("PITFALLS_CRASH_AFTER_FLUSHES");
+  // The crash left the second flush durable, and nothing after it.
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  ASSERT_TRUE(session.resumed());
+  SectionReader r = session.reader("a");
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.u32(), 2u);
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(CheckpointSession, CheckpointWithoutResumeIgnoresExistingSnapshot) {
   TempSnapshot file("noresume");
   {
@@ -720,6 +747,26 @@ TEST(CheckpointedUnit, StoredOutcomeShortCircuitsTheRun) {
   EXPECT_EQ(runs, 1) << "stored outcome re-ran the unit";
 }
 
+TEST(CheckpointedUnit, TerminationExitsAfterTheCellIsFlushed) {
+  // The cooperative SIGTERM path: with termination requested, the cell
+  // still runs and is flushed, then the process exits 143.
+  TempSnapshot file("exit");
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto run_cell = [&] {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    store::request_termination();
+    (void)store::checkpointed_unit<double>(
+        &session, "cell.0", [] { return 0.25; },
+        [](SectionWriter& w, const double& v) { w.f64(v); },
+        [](SectionReader& r) { return r.f64(); });
+  };
+  EXPECT_EXIT(run_cell(), ::testing::ExitedWithCode(143),
+              "termination requested");
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  ASSERT_TRUE(session.has_section("cell.0.outcome"));
+  EXPECT_EQ(session.reader("cell.0.outcome").f64(), 0.25);
+}
+
 // Serialized image of an outcome — byte equality is the strongest
 // observable identity the resume contract promises.
 template <typename H, typename PutH>
@@ -841,14 +888,35 @@ TEST(Termination, RequestFlagTriggersJournalFlush) {
     EXPECT_GT(counter_value("store.snapshot.writes"), writes0);
   }
   store::clear_termination();
-  // The flushed journal is complete: both events replay.
-  store::CheckpointSession session(file.path(), 7, "p", true);
-  ml::FunctionMembershipOracle inner(target);
-  store::RecordingOracle oracle(inner, session, "u.log", nullptr, 1000);
-  (void)oracle.query_pm(make_bitvec(8, 1));
-  (void)oracle.query_pm(make_bitvec(8, 2));
-  EXPECT_EQ(oracle.replayed_queries(), 2u);
-  EXPECT_EQ(inner.queries(), 0u);
+  {
+    // The flushed journal is complete: both events replay.
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    ml::FunctionMembershipOracle inner(target);
+    store::RecordingOracle oracle(inner, session, "u.log", nullptr, 1000);
+    (void)oracle.query_pm(make_bitvec(8, 1));
+    (void)oracle.query_pm(make_bitvec(8, 2));
+    EXPECT_EQ(oracle.replayed_queries(), 2u);
+    EXPECT_EQ(inner.queries(), 0u);
+  }
+
+  // The attack-side journal flushes early on the same flag.
+  TempSnapshot attack_file("term_attack");
+  const std::uint64_t writes1 = counter_value("store.snapshot.writes");
+  {
+    store::CheckpointSession session(attack_file.path(), 7, "p", true);
+    store::AttackObservationJournal journal(&session, "cell.log", 1000);
+    journal.record(make_bitvec(8, 1), make_bitvec(2, 3));
+    EXPECT_EQ(counter_value("store.snapshot.writes"), writes1);
+    store::request_termination();
+    journal.record(make_bitvec(8, 2), make_bitvec(2, 4));
+    EXPECT_GT(counter_value("store.snapshot.writes"), writes1);
+  }
+  store::clear_termination();
+  store::CheckpointSession session(attack_file.path(), 7, "p", true);
+  store::AttackObservationJournal journal(&session, "cell.log", 1000);
+  EXPECT_EQ(journal.serve(make_bitvec(8, 1)), make_bitvec(2, 3));
+  EXPECT_EQ(journal.serve(make_bitvec(8, 2)), make_bitvec(2, 4));
+  EXPECT_EQ(journal.replayed(), 2u);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ using pitfalls::serve::DaemonConfig;
       "  --resident N    max materialized tokens (default 4096)\n"
       "  --shards N      fleet shards (default 64)\n"
       "  --checkpoint P  journal finished jobs into snapshot P\n"
-      "  --resume        serve journaled outcomes from the checkpoint\n"
+      "  --resume        serve journaled outcomes from the --checkpoint P\n"
       "  --socket P      listen on a Unix socket instead of stdin/stdout\n",
       status == 0 ? stdout : stderr);
   std::exit(status);
