@@ -83,7 +83,7 @@ void Daemon::run_pending(LineChannel& channel) {
   std::vector<char> skip(count, 0);
   std::vector<JobResult> blocks(count);
   for (std::size_t i = 0; i < count; ++i) {
-    specs.push_back(pending_[i].spec);
+    specs.push_back(std::move(pending_[i].spec));
     if (pending_[i].journaled && journaled_block(specs[i], blocks[i]))
       skip[i] = 1;
   }
@@ -109,81 +109,65 @@ void Daemon::run_pending(LineChannel& channel) {
 Daemon::Request Daemon::handle_request(LineChannel& channel,
                                        const std::string& line) {
   auto& registry = obs::MetricsRegistry::global();
-  obs::JsonValue request;
+  const auto refuse = [&](const std::string& id, const std::string& message) {
+    registry.counter("serve.wire.errors").add();
+    channel.write_line(error_line(id, message));
+    return Request::kContinue;
+  };
+  WireRequest request;
   try {
-    request = obs::JsonValue::parse(line);
+    request = decode_request(line);
   } catch (const std::exception& error) {
-    registry.counter("serve.wire.errors").add();
-    channel.write_line(error_line("", error.what()));
-    return Request::kContinue;
-  }
-  const obs::JsonValue* type = request.find("type");
-  if (!request.is_object() || type == nullptr || !type->is_string()) {
-    registry.counter("serve.wire.errors").add();
-    channel.write_line(
-        error_line("", "request must be an object with a \"type\""));
-    return Request::kContinue;
+    return refuse("", error.what());
   }
   registry.counter("serve.wire.requests").add();
 
-  if (type->string_value == "job") {
-    JobSpec spec;
-    try {
-      spec = JobSpec::parse(request);
-      PITFALLS_REQUIRE(spec.token < fleet_.config().tokens,
-                       "job token outside the fleet population");
-      PITFALLS_REQUIRE(spec.session.empty() || session_ != nullptr,
-                       "oracle sessions need the daemon --checkpoint path");
-      PITFALLS_REQUIRE(seen_ids_.find(spec.id) == seen_ids_.end(),
-                       "duplicate job id");
-    } catch (const std::exception& error) {
-      registry.counter("serve.wire.errors").add();
-      channel.write_line(error_line(spec.id, error.what()));
-      return Request::kContinue;
-    }
+  if (request.type == "job") {
+    if (!request.refusal.empty()) return refuse("", request.refusal);
     Pending pending;
-    pending.spec = std::move(spec);
+    pending.spec = std::move(request.job);
+    const JobSpec& spec = pending.spec;
+    if (spec.token >= fleet_.config().tokens)
+      return refuse(spec.id, "job token outside the fleet population");
+    if (!spec.session.empty() && session_ == nullptr)
+      return refuse(spec.id,
+                    "oracle sessions need the daemon --checkpoint path");
+    if (seen_ids_.find(spec.id) != seen_ids_.end())
+      return refuse(spec.id, "duplicate job id");
     if (session_) {
       JobResult probe;
-      const std::string spec_section = "job." + pending.spec.id + ".spec";
-      if (journaled_block(pending.spec, probe)) {
+      if (journaled_block(spec, probe)) {
         pending.journaled = true;
-      } else if (session_->has_section(spec_section)) {
+      } else if (session_->has_section("job." + spec.id + ".spec")) {
         // A journaled outcome exists but the resubmitted spec differs —
         // refusing is the only safe answer (serving it would silently
         // attribute another spec's outcome to this one).
-        registry.counter("serve.wire.errors").add();
-        channel.write_line(error_line(
-            pending.spec.id,
-            "journaled outcome was produced by a different spec"));
-        return Request::kContinue;
+        return refuse(spec.id,
+                      "journaled outcome was produced by a different spec");
       }
     }
-    seen_ids_.emplace(pending.spec.id, true);
+    seen_ids_.emplace(spec.id, true);
     registry.counter("serve.jobs.submitted").add();
     obs::JsonWriter writer;
     writer.begin_object();
     writer.key("type").value("ack");
-    writer.key("id").value(pending.spec.id);
+    writer.key("id").value(spec.id);
     writer.end_object();
     channel.write_line(writer.str());
     pending_.push_back(std::move(pending));
     return Request::kContinue;
   }
 
-  if (type->string_value == "run") {
+  if (request.type == "run") {
     run_pending(channel);
     return Request::kRanWave;
   }
 
-  if (type->string_value == "drain") {
+  if (request.type == "drain") {
     return Request::kDrain;  // the serve loop finishes the drain
   }
 
-  registry.counter("serve.wire.errors").add();
-  channel.write_line(
-      error_line("", "unknown request type: " + type->string_value));
-  return Request::kContinue;
+  return refuse("", "unknown request type: " + request.type);
 }
 
 int Daemon::drain(LineChannel& channel, obs::StreamingReporter& reporter) {

@@ -1,9 +1,14 @@
 #include "serve/job.hpp"
 
 #include <cmath>
+#include <exception>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
+#include "obs/json.hpp"
 #include "support/require.hpp"
 #include "support/snapshot/snapshot.hpp"
 
@@ -11,19 +16,140 @@ namespace pitfalls::serve {
 
 namespace {
 
-const obs::JsonValue& member(const obs::JsonValue& object,
-                             std::string_view name) {
-  const obs::JsonValue* value = object.find(name);
-  PITFALLS_REQUIRE(value != nullptr,
-                   "job request is missing the \"" + std::string(name) +
-                       "\" field");
-  return *value;
+using obs::JsonTokenizer;
+using Token = JsonTokenizer::Token;
+
+/// The first occurrence of one member of a request line.
+struct Member {
+  Token first = Token::kEnd;  // the value's first token; kEnd while absent
+  double number = 0.0;        // kNumber
+  std::string text;           // kString
+
+  bool present() const { return first != Token::kEnd; }
+
+  /// Keep the value whose first token was just read; consume its rest.
+  void take(Token value, JsonTokenizer& tokens) {
+    first = value;
+    if (value == Token::kNumber) number = tokens.number();
+    if (value == Token::kString) text.assign(tokens.text());
+    tokens.skip(value);
+  }
+};
+
+/// Maps a member name to its slot in `fields` (nullptr: a name the decode
+/// does not use).
+template <typename Fields, std::size_t N>
+Member* slot_of(
+    Fields& fields,
+    const std::pair<std::string_view, Member Fields::*> (&names)[N],
+    std::string_view name) {
+  for (const auto& [known, slot] : names)
+    if (known == name) return &(fields.*slot);
+  return nullptr;
 }
 
-std::uint64_t as_u64(const obs::JsonValue& value, std::string_view name) {
-  PITFALLS_REQUIRE(value.is_number(),
+/// Reads the members of the object whose '{' was just read: the first
+/// occurrence of each name `fields` uses goes to fields.take(), every other
+/// member is grammar-checked and dropped.
+template <typename Fields>
+void read_object(JsonTokenizer& tokens, Fields& fields) {
+  for (Token name = tokens.next(); name != Token::kEndObject;
+       name = tokens.next()) {
+    Member* slot = fields.find(tokens.text());
+    const Token value = tokens.next();
+    if (slot == nullptr || slot->present())
+      tokens.skip(value);
+    else
+      fields.take(*slot, value, tokens);
+  }
+}
+
+struct PolicyFields {
+  Member flip_rate, burst_rate, burst_length, metastable_sigma, drop_rate,
+      query_budget;
+
+  Member* find(std::string_view name) {
+    static constexpr std::pair<std::string_view, Member PolicyFields::*>
+        kNames[] = {{"flip_rate", &PolicyFields::flip_rate},
+                    {"burst_rate", &PolicyFields::burst_rate},
+                    {"burst_length", &PolicyFields::burst_length},
+                    {"metastable_sigma", &PolicyFields::metastable_sigma},
+                    {"drop_rate", &PolicyFields::drop_rate},
+                    {"query_budget", &PolicyFields::query_budget}};
+    return slot_of(*this, kNames, name);
+  }
+
+  void take(Member& slot, Token value, JsonTokenizer& tokens) {
+    slot.take(value, tokens);
+  }
+};
+
+struct RequestFields {
+  Member type, id, kind, token, seed, rounds, budget, eval, policy, session,
+      challenges;
+  PolicyFields policy_fields;        // when `policy` is an object
+  std::vector<support::BitVec> bits;  // when `challenges` is an array
+  bool challenges_ok = true;  // every item a non-empty '0'/'1' string
+
+  Member* find(std::string_view name) {
+    static constexpr std::pair<std::string_view, Member RequestFields::*>
+        kNames[] = {{"type", &RequestFields::type},
+                    {"id", &RequestFields::id},
+                    {"kind", &RequestFields::kind},
+                    {"token", &RequestFields::token},
+                    {"seed", &RequestFields::seed},
+                    {"rounds", &RequestFields::rounds},
+                    {"budget", &RequestFields::budget},
+                    {"eval", &RequestFields::eval},
+                    {"policy", &RequestFields::policy},
+                    {"session", &RequestFields::session},
+                    {"challenges", &RequestFields::challenges}};
+    return slot_of(*this, kNames, name);
+  }
+
+  void take(Member& slot, Token value, JsonTokenizer& tokens) {
+    if (&slot == &policy && value == Token::kBeginObject) {
+      slot.first = value;
+      read_object(tokens, policy_fields);
+    } else if (&slot == &challenges && value == Token::kBeginArray) {
+      slot.first = value;
+      read_challenges(tokens);
+    } else {
+      slot.take(value, tokens);
+    }
+  }
+
+  /// The items of the array whose '[' was just read, each string packed
+  /// straight into a BitVec.
+  void read_challenges(JsonTokenizer& tokens) {
+    for (Token item = tokens.next(); item != Token::kEndArray;
+         item = tokens.next()) {
+      if (item != Token::kString) {
+        challenges_ok = false;
+        tokens.skip(item);
+        continue;
+      }
+      if (!challenges_ok) continue;
+      std::optional<support::BitVec> challenge =
+          support::BitVec::try_from_string(tokens.text());
+      if (challenge.has_value() && !challenge->empty())
+        bits.push_back(std::move(*challenge));
+      else
+        challenges_ok = false;
+    }
+  }
+};
+
+const Member& required(const Member& value, std::string_view name) {
+  PITFALLS_REQUIRE(value.present(), "job request is missing the \"" +
+                                        std::string(name) + "\" field");
+  return value;
+}
+
+std::uint64_t as_u64(const Member& value, std::string_view name) {
+  PITFALLS_REQUIRE(value.first == Token::kNumber,
                    "job field \"" + std::string(name) + "\" must be a number");
-  const double number = value.number_value;
+  const double number = value.number;
   PITFALLS_REQUIRE(number >= 0.0 && std::floor(number) == number,
                    "job field \"" + std::string(name) +
                        "\" must be a non-negative integer");
@@ -33,41 +159,113 @@ std::uint64_t as_u64(const obs::JsonValue& value, std::string_view name) {
   return static_cast<std::uint64_t>(number);
 }
 
-std::uint64_t u64_field(const obs::JsonValue& object, std::string_view name) {
-  return as_u64(member(object, name), name);
+std::uint64_t u64_field(const Member& value, std::string_view name) {
+  return as_u64(required(value, name), name);
 }
 
-std::uint64_t u64_or(const obs::JsonValue& object, std::string_view name,
+std::uint64_t u64_or(const Member& value, std::string_view name,
                      std::uint64_t fallback) {
-  const obs::JsonValue* value = object.find(name);
-  return value == nullptr ? fallback : as_u64(*value, name);
+  return value.present() ? as_u64(value, name) : fallback;
 }
 
-double rate_or(const obs::JsonValue& object, std::string_view name,
-               double fallback) {
-  const obs::JsonValue* value = object.find(name);
-  if (value == nullptr) return fallback;
-  PITFALLS_REQUIRE(value->is_number(),
+double rate_or(const Member& value, std::string_view name, double fallback) {
+  if (!value.present()) return fallback;
+  PITFALLS_REQUIRE(value.first == Token::kNumber,
                    "policy field \"" + std::string(name) +
                        "\" must be a number");
-  return value->number_value;
+  return value.number;
 }
 
-ml::robust::FaultConfig parse_policy(const obs::JsonValue& policy) {
-  PITFALLS_REQUIRE(policy.is_object(), "job \"policy\" must be an object");
+ml::robust::FaultConfig parse_policy(const PolicyFields& policy) {
   ml::robust::FaultConfig faults;
-  faults.flip_rate = rate_or(policy, "flip_rate", 0.0);
-  faults.burst_rate = rate_or(policy, "burst_rate", 0.0);
+  faults.flip_rate = rate_or(policy.flip_rate, "flip_rate", 0.0);
+  faults.burst_rate = rate_or(policy.burst_rate, "burst_rate", 0.0);
   faults.burst_length = static_cast<std::size_t>(
-      u64_or(policy, "burst_length", faults.burst_length));
-  faults.metastable_sigma = rate_or(policy, "metastable_sigma", 0.0);
-  faults.drop_rate = rate_or(policy, "drop_rate", 0.0);
-  faults.query_budget = static_cast<std::size_t>(u64_or(
-      policy, "query_budget", std::numeric_limits<std::size_t>::max()));
+      u64_or(policy.burst_length, "burst_length", faults.burst_length));
+  faults.metastable_sigma =
+      rate_or(policy.metastable_sigma, "metastable_sigma", 0.0);
+  faults.drop_rate = rate_or(policy.drop_rate, "drop_rate", 0.0);
+  faults.query_budget = static_cast<std::size_t>(
+      u64_or(policy.query_budget, "query_budget",
+             std::numeric_limits<std::size_t>::max()));
   // The fault layer's own range check: a spec is refused here exactly when
   // its channel could not be built at run time.
   ml::robust::validate(faults);
   return faults;
+}
+
+/// The spec of a "job" request whose whole line has already passed the
+/// grammar. Throws std::invalid_argument on any missing, ill-typed or
+/// out-of-range field.
+JobSpec job_spec(RequestFields& fields) {
+  JobSpec spec;
+
+  const Member& id = required(fields.id, "id");
+  PITFALLS_REQUIRE(id.first == Token::kString && !id.text.empty(),
+                   "job \"id\" must be a non-empty string");
+  spec.id = id.text;
+
+  const Member& kind = required(fields.kind, "kind");
+  PITFALLS_REQUIRE(kind.first == Token::kString,
+                   "job \"kind\" must be a string");
+  if (kind.text == "auth") {
+    spec.kind = JobKind::kAuth;
+  } else if (kind.text == "attack") {
+    spec.kind = JobKind::kAttack;
+  } else if (kind.text == "query") {
+    spec.kind = JobKind::kQuery;
+  } else {
+    PITFALLS_REQUIRE(false, "job \"kind\" must be auth, attack or query");
+  }
+
+  spec.token = u64_field(fields.token, "token");
+  spec.seed = u64_field(fields.seed, "seed");
+
+  switch (spec.kind) {
+    case JobKind::kAuth: {
+      spec.rounds =
+          static_cast<std::size_t>(u64_field(fields.rounds, "rounds"));
+      PITFALLS_REQUIRE(spec.rounds > 0, "auth job needs rounds > 0");
+      break;
+    }
+    case JobKind::kAttack: {
+      spec.budget =
+          static_cast<std::size_t>(u64_field(fields.budget, "budget"));
+      spec.eval = static_cast<std::size_t>(u64_field(fields.eval, "eval"));
+      PITFALLS_REQUIRE(spec.budget > 0, "attack job needs budget > 0");
+      PITFALLS_REQUIRE(spec.eval > 0, "attack job needs eval > 0");
+      if (fields.policy.present()) {
+        PITFALLS_REQUIRE(fields.policy.first == Token::kBeginObject,
+                         "job \"policy\" must be an object");
+        spec.faults = parse_policy(fields.policy_fields);
+      }
+      if (const Member& session = fields.session; session.present()) {
+        PITFALLS_REQUIRE(
+            session.first == Token::kString && !session.text.empty(),
+            "job \"session\" must be a non-empty string");
+        for (const char c : session.text)
+          PITFALLS_REQUIRE(
+              (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                  (c >= '0' && c <= '9') || c == '-' || c == '_',
+              "job \"session\" must be alphanumeric with - or _ "
+              "(it names a snapshot file)");
+        spec.session = session.text;
+      }
+      break;
+    }
+    case JobKind::kQuery: {
+      const Member& block = required(fields.challenges, "challenges");
+      PITFALLS_REQUIRE(block.first == Token::kBeginArray,
+                       "query job needs a non-empty \"challenges\" array");
+      PITFALLS_REQUIRE(fields.challenges_ok,
+                       "query challenges must be non-empty '0'/'1' strings");
+      PITFALLS_REQUIRE(!fields.bits.empty(),
+                       "query job needs a non-empty \"challenges\" array");
+      spec.challenges = std::move(fields.bits);
+      break;
+    }
+  }
+  return spec;
 }
 
 }  // namespace
@@ -84,77 +282,27 @@ const char* to_string(JobKind kind) {
   return "unknown";
 }
 
-JobSpec JobSpec::parse(const obs::JsonValue& request) {
-  PITFALLS_REQUIRE(request.is_object(), "job request must be a JSON object");
-  JobSpec spec;
+WireRequest decode_request(std::string_view line) {
+  JsonTokenizer tokens(line);
+  RequestFields fields;
+  const Token root = tokens.next();
+  if (root == Token::kBeginObject)
+    read_object(tokens, fields);
+  else
+    tokens.skip(root);
+  tokens.next();  // kEnd, or the trailing-garbage error
+  if (root != Token::kBeginObject || fields.type.first != Token::kString)
+    throw std::runtime_error("request must be an object with a \"type\"");
 
-  const obs::JsonValue& id = member(request, "id");
-  PITFALLS_REQUIRE(id.is_string() && !id.string_value.empty(),
-                   "job \"id\" must be a non-empty string");
-  spec.id = id.string_value;
-
-  const obs::JsonValue& kind = member(request, "kind");
-  PITFALLS_REQUIRE(kind.is_string(), "job \"kind\" must be a string");
-  if (kind.string_value == "auth") {
-    spec.kind = JobKind::kAuth;
-  } else if (kind.string_value == "attack") {
-    spec.kind = JobKind::kAttack;
-  } else if (kind.string_value == "query") {
-    spec.kind = JobKind::kQuery;
-  } else {
-    PITFALLS_REQUIRE(false, "job \"kind\" must be auth, attack or query");
+  WireRequest request;
+  request.type = std::move(fields.type.text);
+  if (request.type != "job") return request;
+  try {
+    request.job = job_spec(fields);
+  } catch (const std::exception& error) {
+    request.refusal = error.what();
   }
-
-  spec.token = u64_field(request, "token");
-  spec.seed = u64_field(request, "seed");
-
-  switch (spec.kind) {
-    case JobKind::kAuth: {
-      spec.rounds = static_cast<std::size_t>(u64_field(request, "rounds"));
-      PITFALLS_REQUIRE(spec.rounds > 0, "auth job needs rounds > 0");
-      break;
-    }
-    case JobKind::kAttack: {
-      spec.budget = static_cast<std::size_t>(u64_field(request, "budget"));
-      spec.eval = static_cast<std::size_t>(u64_field(request, "eval"));
-      PITFALLS_REQUIRE(spec.budget > 0, "attack job needs budget > 0");
-      PITFALLS_REQUIRE(spec.eval > 0, "attack job needs eval > 0");
-      if (const obs::JsonValue* policy = request.find("policy"))
-        spec.faults = parse_policy(*policy);
-      if (const obs::JsonValue* session = request.find("session")) {
-        PITFALLS_REQUIRE(session->is_string() &&
-                             !session->string_value.empty(),
-                         "job \"session\" must be a non-empty string");
-        for (const char c : session->string_value)
-          PITFALLS_REQUIRE(
-              (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '-' || c == '_',
-              "job \"session\" must be alphanumeric with - or _ "
-              "(it names a snapshot file)");
-        spec.session = session->string_value;
-      }
-      break;
-    }
-    case JobKind::kQuery: {
-      const obs::JsonValue& block = member(request, "challenges");
-      PITFALLS_REQUIRE(block.is_array() && !block.items.empty(),
-                       "query job needs a non-empty \"challenges\" array");
-      spec.challenges.reserve(block.items.size());
-      for (const obs::JsonValue& item : block.items) {
-        PITFALLS_REQUIRE(item.is_string(),
-                         "query challenges must be '0'/'1' strings");
-        for (const char c : item.string_value)
-          PITFALLS_REQUIRE(c == '0' || c == '1',
-                           "query challenges must be '0'/'1' strings");
-        PITFALLS_REQUIRE(!item.string_value.empty(),
-                         "query challenges must be non-empty");
-        spec.challenges.push_back(
-            support::BitVec::from_string(item.string_value));
-      }
-      break;
-    }
-  }
-  return spec;
+  return request;
 }
 
 std::string JobSpec::canonical() const {

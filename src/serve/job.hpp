@@ -24,10 +24,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ml/robust/faults.hpp"
-#include "obs/json.hpp"
 #include "support/bitvec.hpp"
 
 namespace pitfalls::serve {
@@ -51,8 +51,8 @@ struct JobSpec {
   std::size_t budget = 0;  // training CRPs to collect
   std::size_t eval = 0;    // fresh CRPs the hypothesis is scored on
   /// Per-job oracle policy: the §9 fault channel between the attacker and
-  /// the token (eta, bursts, drops, lifetime query budget). parse() refuses
-  /// any config ml::robust::validate refuses.
+  /// the token (eta, bursts, drops, lifetime query budget). decode_request()
+  /// refuses any config ml::robust::validate refuses.
   ml::robust::FaultConfig faults;
   /// Non-empty: journal the oracle interaction into a named per-job session
   /// so a lockdown-tripped attack can be continued later with a refilled
@@ -62,11 +62,6 @@ struct JobSpec {
   // query
   std::vector<support::BitVec> challenges;
 
-  /// Parse one wire request object ({"type":"job",...}). Throws
-  /// std::invalid_argument with a caller-presentable message on any
-  /// missing/ill-typed/out-of-range field.
-  static JobSpec parse(const obs::JsonValue& request);
-
   /// Normal-form rendering of every outcome-relevant field (formatting of
   /// the original request does not matter).
   std::string canonical() const;
@@ -74,5 +69,25 @@ struct JobSpec {
   /// crc32(canonical()) — the resume guard for journaled outcomes.
   std::uint32_t fingerprint() const;
 };
+
+/// One request line of the wire, as decode_request() read it.
+struct WireRequest {
+  /// The request's "type" member ("job", "run", "drain" or anything else).
+  std::string type;
+  /// Type "job" only: the spec, meaningful when `refusal` is empty.
+  JobSpec job;
+  /// Type "job" only: why the spec was refused (a missing, ill-typed or
+  /// out-of-range field, or a fault policy ml::robust::validate refuses).
+  std::string refusal;
+};
+
+/// Decode one request line in a single pass over its text, with no DOM.
+/// Throws std::runtime_error when the line is not one JSON object with a
+/// string "type" member; a grammar error anywhere in the line counts as
+/// that, so it beats any field error. The first of duplicate members wins;
+/// unknown members, and members the type or kind does not use, are skipped
+/// after their grammar is checked. Query challenges are packed straight
+/// into BitVec words, eight characters per step.
+WireRequest decode_request(std::string_view line);
 
 }  // namespace pitfalls::serve

@@ -1,6 +1,9 @@
 #include "support/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
+#include <utility>
 
 #include "support/require.hpp"
 
@@ -13,14 +16,50 @@ BitVec::BitVec(std::size_t n, std::uint64_t value) : BitVec(n) {
   }
 }
 
-BitVec BitVec::from_string(const std::string& bits) {
+namespace {
+
+/// Eight characters starting at `p` as one little-endian word (character i
+/// in byte i).
+std::uint64_t load8(const char* p) {
+  std::uint64_t chunk;
+  std::memcpy(&chunk, p, sizeof(chunk));
+  if constexpr (std::endian::native == std::endian::big)
+    chunk = __builtin_bswap64(chunk);
+  return chunk;
+}
+
+}  // namespace
+
+std::optional<BitVec> BitVec::try_from_string(std::string_view bits) {
+  constexpr std::uint64_t kZeros = 0x3030303030303030ULL;  // "00000000"
+  // Gathers bit 0 of byte i into bit 56 + i: the partial products of the
+  // eight 0/1 bytes land on distinct bits, so nothing carries.
+  constexpr std::uint64_t kGather = 0x0102040810204080ULL;
   BitVec v(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    PITFALLS_REQUIRE(bits[i] == '0' || bits[i] == '1',
-                     "bit string must contain only '0'/'1'");
-    v.set(i, bits[i] == '1');
+  const char* text = bits.data();
+  for (std::size_t w = 0; w < v.words_.size(); ++w) {
+    const std::size_t begin = 64 * w;
+    const std::size_t end = std::min(bits.size(), begin + 64);
+    std::uint64_t word = 0;
+    std::size_t i = begin;
+    for (; i + 8 <= end; i += 8) {
+      const std::uint64_t chunk = load8(text + i) ^ kZeros;  // '0'->0, '1'->1
+      if ((chunk & ~0x0101010101010101ULL) != 0) return std::nullopt;
+      word |= ((chunk * kGather) >> 56) << (i - begin);
+    }
+    for (; i < end; ++i) {
+      if (text[i] != '0' && text[i] != '1') return std::nullopt;
+      word |= static_cast<std::uint64_t>(text[i] - '0') << (i - begin);
+    }
+    v.words_[w] = word;
   }
   return v;
+}
+
+BitVec BitVec::from_string(std::string_view bits) {
+  std::optional<BitVec> v = try_from_string(bits);
+  PITFALLS_REQUIRE(v.has_value(), "bit string must contain only '0'/'1'");
+  return std::move(*v);
 }
 
 BitVec BitVec::from_bools(const std::vector<bool>& bits) {

@@ -8,7 +8,9 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/require.hpp"
@@ -26,8 +28,13 @@ class BitVec {
   /// becomes bit i of the vector). Bits past 63 are zero.
   BitVec(std::size_t n, std::uint64_t value);
 
-  /// Parse from a string of '0'/'1' characters, index 0 first.
-  static BitVec from_string(const std::string& bits);
+  /// Parse from a string of '0'/'1' characters, index 0 first. Throws
+  /// std::invalid_argument on any other character.
+  static BitVec from_string(std::string_view bits);
+
+  /// from_string without the throw: nullopt on any character other than
+  /// '0'/'1'. Checks and packs eight characters per step.
+  static std::optional<BitVec> try_from_string(std::string_view bits);
 
   /// From a vector of booleans.
   static BitVec from_bools(const std::vector<bool>& bits);

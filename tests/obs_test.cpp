@@ -108,6 +108,66 @@ TEST(JsonParserTest, DecodesUnicodeEscapesIncludingSurrogatePairs) {
   EXPECT_EQ(emoji.string_value, "\xf0\x9f\x98\x80");
 }
 
+TEST(JsonParserTest, RefusesNestingDeeperThanTheDepthGuard) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const JsonValue deepest = JsonValue::parse(arrays(JsonValue::kMaxDepth));
+  EXPECT_TRUE(deepest.is_array());
+  EXPECT_THROW(JsonValue::parse(arrays(JsonValue::kMaxDepth + 1)),
+               std::runtime_error);
+  // Far past the guard: a parse error, not a stack overflow.
+  EXPECT_THROW(JsonValue::parse(arrays(1'000'000)), std::runtime_error);
+  std::string objects;
+  for (std::size_t i = 0; i <= JsonValue::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(JsonValue::kMaxDepth + 1, '}');
+  EXPECT_THROW(JsonValue::parse(objects), std::runtime_error);
+}
+
+TEST(JsonTokenizerTest, YieldsViewsNumbersAndSkipsDeepValuesIteratively) {
+  using Token = obs::JsonTokenizer::Token;
+  const std::string deep =
+      std::string(1'000'000, '[') + std::string(1'000'000, ']');
+  const std::string text =
+      R"({"plain":"abc","esc\u0041":"x\ny","n":-2.5e1,"deep":)" + deep +
+      R"(,"t":[true,false,null]})";
+  obs::JsonTokenizer tokens(text);
+  EXPECT_EQ(tokens.next(), Token::kBeginObject);
+  EXPECT_EQ(tokens.next(), Token::kName);
+  EXPECT_EQ(tokens.text(), "plain");
+  EXPECT_EQ(tokens.next(), Token::kString);
+  // An escape-free string is a view into the document itself.
+  EXPECT_EQ(tokens.text().data(), text.data() + text.find("abc"));
+  EXPECT_EQ(tokens.next(), Token::kName);
+  EXPECT_EQ(tokens.text(), "escA");
+  EXPECT_EQ(tokens.next(), Token::kString);
+  EXPECT_EQ(tokens.text(), "x\ny");
+  EXPECT_EQ(tokens.next(), Token::kName);
+  EXPECT_EQ(tokens.next(), Token::kNumber);
+  EXPECT_EQ(tokens.number(), -25.0);
+  EXPECT_EQ(tokens.next(), Token::kName);
+  EXPECT_EQ(tokens.text(), "deep");
+  const Token first = tokens.next();
+  EXPECT_EQ(tokens.depth(), 2u);
+  tokens.skip(first);
+  EXPECT_EQ(tokens.depth(), 1u);
+  EXPECT_EQ(tokens.next(), Token::kName);
+  EXPECT_EQ(tokens.next(), Token::kBeginArray);
+  EXPECT_EQ(tokens.next(), Token::kTrue);
+  EXPECT_EQ(tokens.next(), Token::kFalse);
+  EXPECT_EQ(tokens.next(), Token::kNull);
+  EXPECT_EQ(tokens.next(), Token::kEndArray);
+  EXPECT_EQ(tokens.next(), Token::kEndObject);
+  EXPECT_EQ(tokens.next(), Token::kEnd);
+  EXPECT_EQ(tokens.next(), Token::kEnd);
+
+  // skip() checks the grammar of what it skips.
+  obs::JsonTokenizer broken(R"({"a":[1,{"b":]}]})");
+  EXPECT_EQ(broken.next(), Token::kBeginObject);
+  EXPECT_EQ(broken.next(), Token::kName);
+  EXPECT_THROW(broken.skip(broken.next()), std::runtime_error);
+}
+
 TEST(JsonParserTest, ThrowsOnMalformedInput) {
   EXPECT_THROW(JsonValue::parse(""), std::runtime_error);
   EXPECT_THROW(JsonValue::parse("{"), std::runtime_error);

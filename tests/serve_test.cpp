@@ -1,25 +1,35 @@
 // Tests for the attack-service plane (DESIGN.md §16): wire-stream
 // byte-stability across PITFALLS_THREADS, token-fleet LRU eviction and
 // re-materialization determinism, malformed-request rejection, cooperative
-// termination drain, journaled-outcome resume, and the budget-refill
-// continuation contract (replayed queries charge nothing).
+// termination drain, journaled-outcome resume, the budget-refill
+// continuation contract (replayed queries charge nothing), million-deep
+// request lines, and the one-pass wire decode against the DOM path it
+// replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "ml/robust/faults.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/daemon.hpp"
+#include "serve/job.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/token_fleet.hpp"
 #include "serve/wire.hpp"
 #include "store/checkpoint.hpp"
 #include "support/bitvec.hpp"
 #include "support/parallel.hpp"
+#include "support/require.hpp"
 #include "support/rng.hpp"
 #include "support/snapshot/snapshot.hpp"
 
@@ -617,6 +627,825 @@ TEST(ServeDaemon, BudgetRefillContinuationChargesNothingForReplayedQueries) {
   EXPECT_EQ(u64_of(fresh_outcome, "collected"), 120u);
   EXPECT_GT(charged_fresh, charged_refill)
       << "the uninterrupted run pays for all 120 queries";
+}
+
+
+// ------------------------------------------------------- hostile lines
+
+TEST(ServeDaemon, MillionDeepLinesNeitherCrashNorStopTheDaemon) {
+  const std::size_t depth = 1'000'000;
+  const std::string open(depth, '[');
+  const std::string close(depth, ']');
+  const std::string balanced = R"({"type":"run","x":)" + open + close + "}";
+  const std::string unbalanced =
+      R"({"type":"run","x":)" + open + close.substr(1) + "}";
+
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  const std::uint64_t requests = counter_value("serve.wire.requests");
+  const std::uint64_t errors = counter_value("serve.wire.errors");
+  const ServeRun run =
+      run_daemon(config, {balanced, unbalanced, auth_job("d1", 3, 5, 4)});
+  EXPECT_EQ(run.status, 0);
+  EXPECT_EQ(counter_value("serve.wire.requests") - requests, 2u);
+  EXPECT_EQ(counter_value("serve.wire.errors") - errors, 1u);
+
+  // hello; the run's wave delta; the error; then the job's block on drain.
+  std::vector<std::string> types;
+  for (const std::string& line : run.lines)
+    types.push_back(type_of(obs::JsonValue::parse(line)));
+  const std::vector<std::string> expected = {
+      "hello", "obs", "error", "ack", "obs", "outcome", "obs", "drained"};
+  ASSERT_EQ(types, expected) << run.joined;
+  EXPECT_TRUE(obs::JsonValue::parse(run.lines[2]).find("id")->is_null());
+  EXPECT_FALSE(find_line(run.lines, "outcome", "d1").empty());
+}
+
+// ------------------------------------------- differential wire decode
+//
+// The DOM path the one-pass decode replaced, kept verbatim as the
+// reference: the recursive-descent parser, JobSpec::parse over its DOM and
+// the daemon's type check. A seeded mutation loop requires the decode, the
+// daemon and the new JsonValue::parse to agree with it on every mutant.
+namespace reference {
+
+class Parser {
+ public:
+  explicit Parser(std::string_view text) : text_(text) {}
+
+  obs::JsonValue run() {
+    obs::JsonValue root = parse_value();
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing garbage after document");
+    return root;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("JSON parse error at byte " +
+                             std::to_string(pos_) + ": " + what);
+  }
+
+  void skip_ws() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      ++pos_;
+    }
+  }
+
+  char peek() {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+
+  void expect(char c) {
+    if (peek() != c) fail(std::string("expected '") + c + "'");
+    ++pos_;
+  }
+
+  bool consume_literal(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal) return false;
+    pos_ += literal.size();
+    return true;
+  }
+
+  obs::JsonValue parse_value() {
+    skip_ws();
+    switch (peek()) {
+      case '{': return parse_object();
+      case '[': return parse_array();
+      case '"': {
+        obs::JsonValue v;
+        v.kind = obs::JsonValue::Kind::String;
+        v.string_value = parse_string();
+        return v;
+      }
+      case 't':
+        if (!consume_literal("true")) fail("bad literal");
+        return make_bool(true);
+      case 'f':
+        if (!consume_literal("false")) fail("bad literal");
+        return make_bool(false);
+      case 'n':
+        if (!consume_literal("null")) fail("bad literal");
+        return obs::JsonValue{};
+      default: return parse_number();
+    }
+  }
+
+  static obs::JsonValue make_bool(bool b) {
+    obs::JsonValue v;
+    v.kind = obs::JsonValue::Kind::Bool;
+    v.bool_value = b;
+    return v;
+  }
+
+  obs::JsonValue parse_object() {
+    expect('{');
+    obs::JsonValue v;
+    v.kind = obs::JsonValue::Kind::Object;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return v;
+    }
+    while (true) {
+      skip_ws();
+      std::string name = parse_string();
+      skip_ws();
+      expect(':');
+      v.members.emplace_back(std::move(name), parse_value());
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect('}');
+      return v;
+    }
+  }
+
+  obs::JsonValue parse_array() {
+    expect('[');
+    obs::JsonValue v;
+    v.kind = obs::JsonValue::Kind::Array;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return v;
+    }
+    while (true) {
+      v.items.push_back(parse_value());
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect(']');
+      return v;
+    }
+  }
+
+  obs::JsonValue parse_number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      const bool number_char = (c >= '0' && c <= '9') || c == '.' ||
+                               c == 'e' || c == 'E' || c == '+' || c == '-';
+      if (!number_char) break;
+      ++pos_;
+    }
+    if (pos_ == start) fail("expected a value");
+    obs::JsonValue v;
+    v.kind = obs::JsonValue::Kind::Number;
+    const auto res = std::from_chars(text_.data() + start, text_.data() + pos_,
+                                     v.number_value);
+    if (res.ec != std::errc{} || res.ptr != text_.data() + pos_)
+      fail("malformed number");
+    return v;
+  }
+
+  std::string parse_string() {
+    expect('"');
+    std::string out;
+    while (true) {
+      if (pos_ >= text_.size()) fail("unterminated string");
+      const char c = text_[pos_++];
+      if (c == '"') return out;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (pos_ >= text_.size()) fail("unterminated escape");
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': append_unicode_escape(out); break;
+        default: fail("unknown escape");
+      }
+    }
+  }
+
+  unsigned parse_hex4() {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = text_[pos_++];
+      code <<= 4;
+      if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f') code |= static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') code |= static_cast<unsigned>(c - 'A' + 10);
+      else fail("bad hex digit in \\u escape");
+    }
+    return code;
+  }
+
+  void append_unicode_escape(std::string& out) {
+    unsigned code = parse_hex4();
+    if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate: need the pair
+      if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+          text_[pos_ + 1] != 'u')
+        fail("high surrogate without a following \\u low surrogate");
+      pos_ += 2;
+      const unsigned low = parse_hex4();
+      if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
+      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    } else if (code >= 0xDC00 && code <= 0xDFFF) {
+      fail("unpaired low surrogate");
+    }
+    // UTF-8 encode.
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+const obs::JsonValue& member(const obs::JsonValue& object,
+                             std::string_view name) {
+  const obs::JsonValue* value = object.find(name);
+  PITFALLS_REQUIRE(value != nullptr,
+                   "job request is missing the \"" + std::string(name) +
+                       "\" field");
+  return *value;
+}
+
+std::uint64_t as_u64(const obs::JsonValue& value, std::string_view name) {
+  PITFALLS_REQUIRE(value.is_number(),
+                   "job field \"" + std::string(name) + "\" must be a number");
+  const double number = value.number_value;
+  PITFALLS_REQUIRE(number >= 0.0 && std::floor(number) == number,
+                   "job field \"" + std::string(name) +
+                       "\" must be a non-negative integer");
+  PITFALLS_REQUIRE(number <= 9007199254740992.0,  // 2^53: exact in a double
+                   "job field \"" + std::string(name) +
+                       "\" exceeds the exactly-representable integer range");
+  return static_cast<std::uint64_t>(number);
+}
+
+std::uint64_t u64_field(const obs::JsonValue& object, std::string_view name) {
+  return as_u64(member(object, name), name);
+}
+
+std::uint64_t u64_or(const obs::JsonValue& object, std::string_view name,
+                     std::uint64_t fallback) {
+  const obs::JsonValue* value = object.find(name);
+  return value == nullptr ? fallback : as_u64(*value, name);
+}
+
+double rate_or(const obs::JsonValue& object, std::string_view name,
+               double fallback) {
+  const obs::JsonValue* value = object.find(name);
+  if (value == nullptr) return fallback;
+  PITFALLS_REQUIRE(value->is_number(),
+                   "policy field \"" + std::string(name) +
+                       "\" must be a number");
+  return value->number_value;
+}
+
+ml::robust::FaultConfig parse_policy(const obs::JsonValue& policy) {
+  PITFALLS_REQUIRE(policy.is_object(), "job \"policy\" must be an object");
+  ml::robust::FaultConfig faults;
+  faults.flip_rate = rate_or(policy, "flip_rate", 0.0);
+  faults.burst_rate = rate_or(policy, "burst_rate", 0.0);
+  faults.burst_length = static_cast<std::size_t>(
+      u64_or(policy, "burst_length", faults.burst_length));
+  faults.metastable_sigma = rate_or(policy, "metastable_sigma", 0.0);
+  faults.drop_rate = rate_or(policy, "drop_rate", 0.0);
+  faults.query_budget = static_cast<std::size_t>(u64_or(
+      policy, "query_budget", std::numeric_limits<std::size_t>::max()));
+  // The fault layer's own range check: a spec is refused here exactly when
+  // its channel could not be built at run time.
+  ml::robust::validate(faults);
+  return faults;
+}
+
+serve::JobSpec parse_job(const obs::JsonValue& request) {
+  using serve::JobKind;
+  using serve::JobSpec;
+  PITFALLS_REQUIRE(request.is_object(), "job request must be a JSON object");
+  JobSpec spec;
+
+  const obs::JsonValue& id = member(request, "id");
+  PITFALLS_REQUIRE(id.is_string() && !id.string_value.empty(),
+                   "job \"id\" must be a non-empty string");
+  spec.id = id.string_value;
+
+  const obs::JsonValue& kind = member(request, "kind");
+  PITFALLS_REQUIRE(kind.is_string(), "job \"kind\" must be a string");
+  if (kind.string_value == "auth") {
+    spec.kind = JobKind::kAuth;
+  } else if (kind.string_value == "attack") {
+    spec.kind = JobKind::kAttack;
+  } else if (kind.string_value == "query") {
+    spec.kind = JobKind::kQuery;
+  } else {
+    PITFALLS_REQUIRE(false, "job \"kind\" must be auth, attack or query");
+  }
+
+  spec.token = u64_field(request, "token");
+  spec.seed = u64_field(request, "seed");
+
+  switch (spec.kind) {
+    case JobKind::kAuth: {
+      spec.rounds = static_cast<std::size_t>(u64_field(request, "rounds"));
+      PITFALLS_REQUIRE(spec.rounds > 0, "auth job needs rounds > 0");
+      break;
+    }
+    case JobKind::kAttack: {
+      spec.budget = static_cast<std::size_t>(u64_field(request, "budget"));
+      spec.eval = static_cast<std::size_t>(u64_field(request, "eval"));
+      PITFALLS_REQUIRE(spec.budget > 0, "attack job needs budget > 0");
+      PITFALLS_REQUIRE(spec.eval > 0, "attack job needs eval > 0");
+      if (const obs::JsonValue* policy = request.find("policy"))
+        spec.faults = parse_policy(*policy);
+      if (const obs::JsonValue* session = request.find("session")) {
+        PITFALLS_REQUIRE(session->is_string() &&
+                             !session->string_value.empty(),
+                         "job \"session\" must be a non-empty string");
+        for (const char c : session->string_value)
+          PITFALLS_REQUIRE(
+              (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                  (c >= '0' && c <= '9') || c == '-' || c == '_',
+              "job \"session\" must be alphanumeric with - or _ "
+              "(it names a snapshot file)");
+        spec.session = session->string_value;
+      }
+      break;
+    }
+    case JobKind::kQuery: {
+      const obs::JsonValue& block = member(request, "challenges");
+      PITFALLS_REQUIRE(block.is_array() && !block.items.empty(),
+                       "query job needs a non-empty \"challenges\" array");
+      spec.challenges.reserve(block.items.size());
+      for (const obs::JsonValue& item : block.items) {
+        PITFALLS_REQUIRE(item.is_string(),
+                         "query challenges must be '0'/'1' strings");
+        for (const char c : item.string_value)
+          PITFALLS_REQUIRE(c == '0' || c == '1',
+                           "query challenges must be '0'/'1' strings");
+        PITFALLS_REQUIRE(!item.string_value.empty(),
+                         "query challenges must be non-empty");
+        spec.challenges.push_back(
+            support::BitVec::from_string(item.string_value));
+      }
+      break;
+    }
+  }
+  return spec;
+}
+
+}  // namespace reference
+
+/// What a request line comes to before the daemon's token, session and
+/// duplicate-id checks.
+struct Decoded {
+  bool counted = false;  // serve.wire.requests counts the line
+  bool refused = false;  // an error line: grammar, type or job spec
+  std::string type;
+  serve::JobSpec job;  // accepted "job" lines
+};
+
+Decoded reference_decode(const std::string& line) {
+  Decoded out;
+  obs::JsonValue request;
+  try {
+    request = reference::Parser(line).run();
+  } catch (const std::exception&) {
+    out.refused = true;
+    return out;
+  }
+  // The daemon's type check.
+  const obs::JsonValue* type = request.find("type");
+  if (!request.is_object() || type == nullptr || !type->is_string()) {
+    out.refused = true;
+    return out;
+  }
+  out.counted = true;
+  out.type = type->string_value;
+  if (out.type == "job") {
+    try {
+      out.job = reference::parse_job(request);
+    } catch (const std::exception&) {
+      out.refused = true;
+    }
+  } else {
+    out.refused = out.type != "run" && out.type != "drain";
+  }
+  return out;
+}
+
+Decoded one_pass_decode(const std::string& line) {
+  Decoded out;
+  serve::WireRequest request;
+  try {
+    request = serve::decode_request(line);
+  } catch (const std::runtime_error&) {
+    out.refused = true;
+    return out;
+  }
+  out.counted = true;
+  out.type = request.type;
+  if (out.type == "job") {
+    out.refused = !request.refusal.empty();
+    if (!out.refused) out.job = request.job;
+  } else {
+    out.refused = out.type != "run" && out.type != "drain";
+  }
+  return out;
+}
+
+bool same_dom(const obs::JsonValue& a, const obs::JsonValue& b) {
+  if (a.kind != b.kind || a.bool_value != b.bool_value ||
+      a.string_value != b.string_value ||
+      std::signbit(a.number_value) != std::signbit(b.number_value) ||
+      a.number_value != b.number_value || a.items.size() != b.items.size() ||
+      a.members.size() != b.members.size())
+    return false;
+  for (std::size_t i = 0; i < a.items.size(); ++i)
+    if (!same_dom(a.items[i], b.items[i])) return false;
+  for (std::size_t i = 0; i < a.members.size(); ++i)
+    if (a.members[i].first != b.members[i].first ||
+        !same_dom(a.members[i].second, b.members[i].second))
+      return false;
+  return true;
+}
+
+/// Valid request lines as (name, raw JSON value) members, mutated before
+/// and after rendering.
+using Members = std::vector<std::pair<std::string, std::string>>;
+
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string mutant(const std::vector<Members>& seeds) {
+    Members members = seeds[rng_.uniform_below(seeds.size())];
+    const std::size_t structural = rng_.uniform_below(3);
+    for (std::size_t i = 0; i < structural; ++i) mutate_members(members);
+    std::string line = render(members);
+    const std::size_t bytewise = rng_.uniform_below(3);
+    for (std::size_t i = 0; i < bytewise; ++i) mutate_bytes(line);
+    return line;
+  }
+
+ private:
+  template <typename T, std::size_t N>
+  const T& pick(const T (&options)[N]) {
+    return options[rng_.uniform_below(N)];
+  }
+
+  std::string ws() {
+    static const char* const kSpaces[] = {"", "", "", " ", "\t", "\n", "\r",
+                                          "  "};
+    return pick(kSpaces);
+  }
+
+  std::string render(const Members& members) {
+    std::string line = ws() + "{";
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (i != 0) line += ws() + ",";
+      line += ws() + "\"" + members[i].first + "\"" + ws() + ":" + ws() +
+              members[i].second;
+    }
+    return line + ws() + "}" + ws();
+  }
+
+  void mutate_members(Members& members) {
+    static const char* const kValues[] = {
+        "1", "0", "\"s\"", "\"\"", "true", "false", "null", "[]", "{}",
+        "[1,[2,{\"a\":null}]]", "{\"type\":\"run\",\"id\":\"z\"}",
+        "\"\\u0030\"", "[\"0101\"]", "[\"01\",7]", "{\"flip_rate\":0.4}",
+        // One grammar slip each.
+        "[1,]", "{\"a\":1,}", "[,1]", "[1 2]", "{\"a\" 1}", "{\"a\"}",
+        "[\"a\":1]", "{1:2}", "[1]]", "tru", "nul"};
+    static const char* const kNumbers[] = {
+        "1e3", "-0", "1.0", "1e400", "1e-400", "2E0", "0.5", "-1",
+        "9007199254740993", "01", ".5", "1.", "+1", "-", "1e", "0x10"};
+    static const char* const kNames[] = {
+        "type", "id", "kind", "token", "seed", "rounds", "budget",
+        "eval", "policy", "session", "challenges", "extra", "Type", ""};
+    if (members.empty()) {
+      members.emplace_back(pick(kNames), pick(kValues));
+      return;
+    }
+    const std::size_t at = rng_.uniform_below(members.size());
+    switch (rng_.uniform_below(8)) {
+      case 0: {  // duplicate member, before or after, maybe another value
+        auto copy = members[at];
+        if (rng_.coin()) copy.second = pick(kValues);
+        const std::size_t to = rng_.uniform_below(members.size() + 1);
+        members.insert(members.begin() + static_cast<std::ptrdiff_t>(to),
+                       copy);
+        break;
+      }
+      case 1:  // unknown or known member with an arbitrary value
+        members.insert(
+            members.begin() + static_cast<std::ptrdiff_t>(
+                                  rng_.uniform_below(members.size() + 1)),
+            {pick(kNames), pick(kValues)});
+        break;
+      case 2:
+        members[at].second = pick(kValues);
+        break;
+      case 3:
+        members[at].second = pick(kNumbers);
+        break;
+      case 4:
+        members.erase(members.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      case 5:
+        std::swap(members[at], members[rng_.uniform_below(members.size())]);
+        break;
+      case 6: {  // a challenge block on the edge of valid, wherever it goes
+        static const char* const kBlocks[] = {
+            "[]", "[\"\"]", "[\"0101\",\"\"]", "[\"01\\u0031\"]",
+            "[\"\\u0030\"]", "[\"01\",\"1x\"]", "[\"0\",1]", "\"0101\"",
+            "[[\"01\"]]", "[\"0\\n\"]"};
+        auto found = std::find_if(members.begin(), members.end(),
+                                  [](const auto& m) {
+                                    return m.first == "challenges";
+                                  });
+        if (found == members.end())
+          found = members.insert(members.end(), {"challenges", ""});
+        found->second = pick(kBlocks);
+        break;
+      }
+      default:  // escape one character of a name
+        members[at].first = escape_one(members[at].first);
+        break;
+    }
+  }
+
+  std::string escape_one(const std::string& text) {
+    if (text.empty()) return text;
+    const std::size_t at = rng_.uniform_below(text.size());
+    char hex[8];
+    std::snprintf(hex, sizeof(hex), rng_.coin() ? "\\u%04x" : "\\u%04X",
+                  static_cast<unsigned>(static_cast<unsigned char>(text[at])));
+    return text.substr(0, at) + hex + text.substr(at + 1);
+  }
+
+  void mutate_bytes(std::string& line) {
+    static const char kBytes[] = "{}[]\":,\\ \t\n01abeEtfnu+-.x/";
+    static const char* const kEscapes[] = {
+        "\\u0030", "\\u0031", "\\/", "\\\"", "\\\\", "\\n", "\\x",
+        "\\ud800", "\\udc00", "\\ud83d\\ude00", "\\u00e9", "\\u12"};
+    if (line.empty()) return;
+    const std::size_t at = rng_.uniform_below(line.size());
+    switch (rng_.uniform_below(8)) {
+      case 0:  // flip
+        line[at] = rng_.coin() ? kBytes[rng_.uniform_below(sizeof(kBytes) - 1)]
+                               : static_cast<char>(rng_.uniform_below(256));
+        break;
+      case 1:  // insert
+        line.insert(line.begin() + static_cast<std::ptrdiff_t>(at),
+                    kBytes[rng_.uniform_below(sizeof(kBytes) - 1)]);
+        break;
+      case 2:  // delete a short span
+        line.erase(at, 1 + rng_.uniform_below(3));
+        break;
+      case 3:  // truncate
+        line.resize(at);
+        break;
+      case 4: {  // escape a character where it stands, or insert an escape
+        const char c = line[at];
+        if ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || c == '-') {
+          line = line.substr(0, at) + escape_one(std::string(1, c)) +
+                 line.substr(at + 1);
+        } else {
+          line.insert(at, pick(kEscapes));
+        }
+        break;
+      }
+      case 5:  // whitespace
+        line.insert(at, ws() + " ");
+        break;
+      case 6: {  // a punctuation slip next to a structural character
+        static const char* const kSlips[] = {",", ":", "]", "}", "[", "{",
+                                             "\"\"", "1", "null", ""};
+        std::size_t near = at;
+        while (near < line.size() &&
+               std::string_view("{}[],:").find(line[near]) ==
+                   std::string_view::npos)
+          ++near;
+        if (near == line.size()) break;
+        const std::string slip = pick(kSlips);
+        if (slip.empty())
+          line.erase(near, 1);
+        else
+          line.insert(near + rng_.uniform_below(2), slip);
+        break;
+      }
+      default:  // a number spelling over a digit run
+        if (line[at] >= '0' && line[at] <= '9') {
+          std::size_t end = at;
+          while (end < line.size() && line[end] >= '0' && line[end] <= '9')
+            ++end;
+          static const char* const kSpellings[] = {"1e3", "-0", "1.0",
+                                                   "1e400"};
+          line.replace(at, end - at, pick(kSpellings));
+        }
+        break;
+    }
+  }
+
+  Rng rng_;
+};
+
+/// Hands the daemon one line at a time and keeps, per line, what it did
+/// with it: the serve.wire counter deltas and the first line it wrote.
+class AttributingChannel final : public serve::LineChannel {
+ public:
+  struct Record {
+    std::uint64_t requests = 0;
+    std::uint64_t errors = 0;
+    std::string first_output;
+  };
+
+  AttributingChannel(const std::vector<std::string>& input, std::size_t& next,
+                     std::vector<Record>& records)
+      : input_(input), next_(next), records_(records) {}
+
+  bool read_line(std::string& line) override {
+    settle();
+    if (next_ == input_.size()) return false;
+    line = input_[next_++];
+    records_.emplace_back();
+    requests_ = counter_value("serve.wire.requests");
+    errors_ = counter_value("serve.wire.errors");
+    open_ = true;
+    return true;
+  }
+
+  void write_line(std::string_view line) override {
+    if (open_ && records_.back().first_output.empty())
+      records_.back().first_output.assign(line);
+  }
+
+  /// Close the current line's record (the daemon read no line after it).
+  void settle() {
+    if (!open_) return;
+    records_.back().requests = counter_value("serve.wire.requests") - requests_;
+    records_.back().errors = counter_value("serve.wire.errors") - errors_;
+    open_ = false;
+  }
+
+ private:
+  const std::vector<std::string>& input_;
+  std::size_t& next_;
+  std::vector<Record>& records_;
+  bool open_ = false;
+  std::uint64_t requests_ = 0;
+  std::uint64_t errors_ = 0;
+};
+
+TEST(WireDecode, MutantsMatchTheDomPathLineForLine) {
+  const std::uint64_t kTokens = 1000;
+  const std::string c32 = challenge_string(32, 71);
+  const std::string c70 = challenge_string(70, 72);
+  const std::vector<Members> seeds = {
+      {{"type", "\"job\""}, {"id", "\"a1\""}, {"kind", "\"auth\""},
+       {"token", "7"}, {"seed", "5"}, {"rounds", "2"}},
+      {{"type", "\"job\""}, {"id", "\"x1\""}, {"kind", "\"attack\""},
+       {"token", "12"}, {"seed", "3"}, {"budget", "4"}, {"eval", "4"},
+       {"policy", R"({"flip_rate":0.05,"drop_rate":0.02,)"
+                  R"("burst_length":2,"query_budget":50})"}},
+      {{"type", "\"job\""}, {"id", "\"x2\""}, {"kind", "\"attack\""},
+       {"token", "999"}, {"seed", "4"}, {"budget", "3"}, {"eval", "2"},
+       {"session", "\"s-1\""}},
+      {{"type", "\"job\""}, {"id", "\"q1\""}, {"kind", "\"query\""},
+       {"token", "5"}, {"seed", "1"},
+       {"challenges", "[\"" + c32 + "\",\"" + c70 + "\",\"1\"]"}},
+      {{"type", "\"run\""}},
+      {{"type", "\"drain\""}},
+  };
+  Mutator mutator(20260118);
+  std::vector<std::string> lines;
+  std::vector<Decoded> expected;
+  std::size_t mutants = 0;
+  std::size_t accepted_jobs = 0;
+  std::size_t dom_failures = 0;
+  for (; mutants < 20000; ++mutants) {
+    std::string line = mutator.mutant(seeds);
+    if (line.empty()) line = " ";  // the daemon skips empty lines unread
+    // Shallow enough that the recursive reference cannot overflow.
+    ASSERT_LT(std::count(line.begin(), line.end(), '[') +
+                  std::count(line.begin(), line.end(), '{'),
+              900);
+
+    Decoded want = reference_decode(line);
+    const Decoded got = one_pass_decode(line);
+    ASSERT_EQ(got.counted, want.counted) << line;
+    ASSERT_EQ(got.refused, want.refused) << line;
+    ASSERT_EQ(got.type, want.type) << line;
+    ASSERT_EQ(got.job.canonical(), want.job.canonical()) << line;
+    if (want.type == "job" && !want.refused) ++accepted_jobs;
+
+    bool old_threw = false;
+    bool new_threw = false;
+    obs::JsonValue old_dom;
+    obs::JsonValue new_dom;
+    try {
+      old_dom = reference::Parser(line).run();
+    } catch (const std::runtime_error&) {
+      old_threw = true;
+    }
+    try {
+      new_dom = obs::JsonValue::parse(line);
+    } catch (const std::runtime_error&) {
+      new_threw = true;
+    }
+    ASSERT_EQ(new_threw, old_threw) << line;
+    if (old_threw) ++dom_failures;
+    ASSERT_TRUE(same_dom(new_dom, old_dom)) << line;
+
+    // The daemon bounds no job's work, so a job it would accept with up to
+    // 2^53 rounds or CRPs is decoded above but not run below.
+    const serve::JobSpec& job = want.job;
+    if (job.rounds > 10000 || job.budget > 10000 || job.eval > 10000)
+      continue;
+    lines.push_back(std::move(line));
+    expected.push_back(std::move(want));
+  }
+  // The loop reaches both sides of every decision.
+  EXPECT_GT(accepted_jobs, 2000u);
+  EXPECT_GT(dom_failures, 2000u);
+  EXPECT_LT(dom_failures, mutants - 2000);
+  EXPECT_GT(lines.size(), mutants - 100);
+
+  // The daemon itself, line for line: a drain ends one daemon and the next
+  // line goes to a fresh one, as a restarted service would see it.
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.fleet.tokens = kTokens;
+  std::vector<AttributingChannel::Record> records;
+  std::size_t next = 0;
+  while (next < lines.size()) {
+    serve::Daemon daemon(config);
+    AttributingChannel channel(lines, next, records);
+    ASSERT_EQ(daemon.serve(channel), 0);
+    channel.settle();
+  }
+  ASSERT_EQ(records.size(), lines.size());
+
+  std::set<std::string> seen;  // the current daemon's accepted ids
+  std::size_t job_id_errors = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Decoded& want = expected[i];
+    const AttributingChannel::Record& got = records[i];
+    bool refused = want.refused;
+    std::string error_id;
+    if (!refused && want.type == "job") {
+      const serve::JobSpec& job = want.job;
+      refused = job.token >= kTokens || !job.session.empty() ||
+                seen.count(job.id) != 0;
+      if (refused) {
+        error_id = job.id;
+        ++job_id_errors;
+      } else {
+        seen.insert(job.id);
+      }
+    }
+    ASSERT_EQ(got.requests, want.counted ? 1u : 0u) << lines[i];
+    ASSERT_EQ(got.errors, refused ? 1u : 0u) << lines[i];
+    if (want.type == "job" || refused) {
+      const obs::JsonValue first = obs::JsonValue::parse(got.first_output);
+      const obs::JsonValue* id = first.find("id");
+      ASSERT_NE(id, nullptr) << got.first_output;
+      ASSERT_EQ(type_of(first), refused ? "error" : "ack") << lines[i];
+      if (error_id.empty() && refused)
+        ASSERT_TRUE(id->is_null()) << lines[i];
+      else
+        ASSERT_EQ(id->string_value, refused ? error_id : want.job.id)
+            << lines[i];
+    }
+    if (!refused && want.type == "drain") seen.clear();
+  }
+  EXPECT_GT(job_id_errors, 1000u);
 }
 
 }  // namespace

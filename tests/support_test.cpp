@@ -204,6 +204,35 @@ TEST(BitVec, FromStringRejectsJunk) {
   EXPECT_THROW(BitVec::from_string("01x"), std::invalid_argument);
 }
 
+TEST(BitVec, FromStringMatchesThePerBitLoop) {
+  Rng rng(17);
+  for (std::size_t n = 0; n <= 130; ++n) {
+    std::string bits(n, '0');
+    for (char& c : bits) c = rng.coin() ? '1' : '0';
+    BitVec expected(n);
+    for (std::size_t i = 0; i < n; ++i) expected.set(i, bits[i] == '1');
+    EXPECT_EQ(BitVec::from_string(bits), expected) << bits;
+    EXPECT_EQ(BitVec::try_from_string(bits), expected) << bits;
+    EXPECT_EQ(BitVec::from_string(bits).to_string(), bits);
+  }
+  EXPECT_TRUE(BitVec::from_string("").empty());
+}
+
+TEST(BitVec, FromStringRejectsABadCharacterAtEveryPosition) {
+  std::string good(130, '0');
+  for (std::size_t i = 0; i < good.size(); i += 3) good[i] = '1';
+  // '2' and 'p' differ from '0'/'1' in one bit each; the others cover the
+  // control, high and '0'-adjacent bytes.
+  for (const char bad : {'2', '/', 'p', 'x', ' ', '\0', '\x80', '\xb1'}) {
+    for (std::size_t at = 0; at < good.size(); ++at) {
+      std::string bits = good;
+      bits[at] = bad;
+      EXPECT_THROW(BitVec::from_string(bits), std::invalid_argument) << at;
+      EXPECT_FALSE(BitVec::try_from_string(bits).has_value()) << at;
+    }
+  }
+}
+
 TEST(BitVec, PopcountAcrossWords) {
   BitVec v(130);
   v.set(0, true);
