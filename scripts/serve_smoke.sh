@@ -11,7 +11,8 @@
 #      PITFALLS_CRASH_AFTER_FLUSHES, hard-exits 137 right after the 3rd
 #      checkpoint flush, i.e. the 3rd journaled job) and a --resume run that
 #      must serve the journaled outcomes back -- the complete outcome stream
-#      has to match the uninterrupted reference byte for byte
+#      has to match the uninterrupted reference byte for byte; then the same
+#      resume from a copy of the journal that ends in a torn frame
 #   4. budget-refill continuation: a lockdown-tripped attack session is
 #      continued with a larger query budget, and the continuation outcome
 #      must be byte-identical to an uninterrupted run with that budget
@@ -127,6 +128,10 @@ if [ ! -s "$work/ck.snap" ]; then
   echo "serve_smoke: crash left no checkpoint journal" >&2
   exit 1
 fi
+cp "$work/ck.snap" "$work/ck_torn.snap"
+python3 -c 'import sys; open(sys.argv[1], "ab").write(
+    b"\xff\xff\x00\x00" + b"\x12\x34\x56\x78" + b"partial")' \
+  "$work/ck_torn.snap"
 if ! PITFALLS_THREADS=3 "$served" --tokens 1000000 --seed 42 \
     --checkpoint "$work/ck.snap" --resume \
     < "$work/jobs.txt" > "$work/resume.out"; then
@@ -144,6 +149,31 @@ if cmp -s "$work/ref_outcomes.txt" "$work/resume_outcomes.txt"; then
 else
   echo "serve_smoke: resumed outcomes diverged from the reference" >&2
   diff "$work/ref_outcomes.txt" "$work/resume_outcomes.txt" | head -10 >&2
+  status=1
+fi
+
+# The same resume from a copy of the crash journal that ends in a torn
+# frame, one whose append never finished: its header declares 65535 body
+# bytes and 7 follow. The frame must be skipped and the resume must
+# continue from the flushes before it.
+echo "== crash journal with a torn last frame, then --resume =="
+if ! PITFALLS_THREADS=3 "$served" --tokens 1000000 --seed 42 \
+    --checkpoint "$work/ck_torn.snap" --resume \
+    < "$work/jobs.txt" > "$work/resume_torn.out"; then
+  echo "serve_smoke: resume across a torn tail failed" >&2
+  exit 1
+fi
+if ! $check "$work/resume_torn.out" --expect-outcomes 14 --expect-resumed 3
+then
+  echo "serve_smoke: torn-tail resumed stream failed schema validation" >&2
+  exit 1
+fi
+grep '"type":"outcome"' "$work/resume_torn.out" > "$work/torn_outcomes.txt"
+if cmp -s "$work/ref_outcomes.txt" "$work/torn_outcomes.txt"; then
+  echo "  outcomes resumed across the torn tail byte-identical"
+else
+  echo "serve_smoke: outcomes resumed across the torn tail diverged" >&2
+  diff "$work/ref_outcomes.txt" "$work/torn_outcomes.txt" | head -10 >&2
   status=1
 fi
 

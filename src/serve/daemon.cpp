@@ -1,5 +1,6 @@
 #include "serve/daemon.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -43,34 +44,24 @@ void Daemon::emit_hello(LineChannel& channel) {
 }
 
 bool Daemon::journaled_block(const JobSpec& spec, JobResult& out) {
-  if (!session_) return false;
-  const std::string spec_section = "job." + spec.id + ".spec";
-  const std::string block_section = "job." + spec.id + ".block";
-  if (!session_->has_section(spec_section) ||
-      !session_->has_section(block_section))
-    return false;
-  support::snapshot::SectionReader spec_reader =
-      session_->reader(spec_section);
-  if (spec_reader.u32() != spec.fingerprint()) return false;
-  support::snapshot::SectionReader block_reader =
-      session_->reader(block_section);
-  const std::uint32_t count = block_reader.u32();
+  const std::string section = "job." + spec.id;
+  if (!session_ || !session_->has_section(section)) return false;
+  support::snapshot::SectionReader reader = session_->reader(section);
+  if (reader.u32() != spec.fingerprint()) return false;
+  const std::uint32_t count = reader.u32();
   out.lines.clear();
   out.lines.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.lines.push_back(block_reader.str());
+  for (std::uint32_t i = 0; i < count; ++i) out.lines.push_back(reader.str());
   out.ok = true;
   return true;
 }
 
 void Daemon::journal_block(const JobSpec& spec, const JobResult& result) {
-  support::snapshot::SectionWriter& spec_writer =
-      session_->reset_section("job." + spec.id + ".spec");
-  spec_writer.u32(spec.fingerprint());
-  support::snapshot::SectionWriter& block_writer =
-      session_->reset_section("job." + spec.id + ".block");
-  block_writer.u32(static_cast<std::uint32_t>(result.lines.size()));
-  for (const std::string& line : result.lines) block_writer.str(line);
+  support::snapshot::SectionWriter& writer =
+      session_->reset_section("job." + spec.id);
+  writer.u32(spec.fingerprint());
+  writer.u32(static_cast<std::uint32_t>(result.lines.size()));
+  for (const std::string& line : result.lines) writer.str(line);
   session_->flush();
 }
 
@@ -134,11 +125,18 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
                     "oracle sessions need the daemon --checkpoint path");
     if (seen_ids_.find(spec.id) != seen_ids_.end())
       return refuse(spec.id, "duplicate job id");
+    // A session file is owned by one job at a time: two jobs of one wave
+    // would journal into it concurrently.
+    if (!spec.session.empty() &&
+        std::any_of(pending_.begin(), pending_.end(), [&](const Pending& p) {
+          return p.spec.session == spec.session;
+        }))
+      return refuse(spec.id, "session already named by a job in this wave");
     if (session_) {
       JobResult probe;
       if (journaled_block(spec, probe)) {
         pending.journaled = true;
-      } else if (session_->has_section("job." + spec.id + ".spec")) {
+      } else if (session_->has_section("job." + spec.id)) {
         // A journaled outcome exists but the resubmitted spec differs —
         // refusing is the only safe answer (serving it would silently
         // attribute another spec's outcome to this one).

@@ -24,12 +24,14 @@
 // PITFALLS_THREADS value.
 //
 // Crash safety: with a checkpoint configured, every finished job block is
-// journaled (sections job.<id>.spec / job.<id>.block) and the file is
-// flushed after each job. A daemon restarted with --resume serves journaled
-// outcomes back without re-executing — provided the resubmitted spec
-// fingerprints identically — so kill -9 mid-run plus a resume replays the
-// identical outcome stream (store::CheckpointSession::flush's crash hook
-// stands in for the kill deterministically). SIGTERM is cooperative (store
+// journaled (one section job.<id>: the spec fingerprint, then the lines) and
+// the file is flushed after each job. A daemon restarted with --resume
+// serves journaled outcomes back without re-executing — provided the
+// resubmitted spec fingerprints identically — so kill -9 mid-run plus a
+// resume replays the identical outcome stream (store::CheckpointSession::
+// flush's crash hook stands in for the kill deterministically). A wave
+// refuses a job whose "session" an earlier job of the same wave names, so
+// each session file has one writer. SIGTERM is cooperative (store
 // termination flag): polled between protocol lines, it drains and exits
 // 143.
 #pragma once

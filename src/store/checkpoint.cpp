@@ -17,7 +17,7 @@ using support::snapshot::SectionReader;
 using support::snapshot::SectionWriter;
 using support::snapshot::SnapshotError;
 using support::snapshot::SnapshotFault;
-using support::snapshot::SnapshotReader;
+using support::snapshot::SnapshotWriter;
 
 struct StoreMetrics {
   obs::Counter& writes;
@@ -73,15 +73,18 @@ CheckpointSession::CheckpointSession(std::string path, std::uint64_t seed,
   if (!resume) return;
   StoreMetrics& metrics = StoreMetrics::get();
   try {
-    const SnapshotReader restored = SnapshotReader::open(path_);
+    SnapshotWriter restored =
+        SnapshotWriter::decode(support::snapshot::read_file_bytes(path_));
     if (restored.seed() != seed || restored.provenance() != provenance) {
       // A snapshot from a different run identity is stale, not corrupt:
       // start clean and leave the file to be overwritten by the next flush.
       metrics.mismatch.add(1);
       return;
     }
-    for (const std::string& name : restored.section_names())
-      writer_.section(name).raw(restored.section_bytes(name));
+    // A torn tail is a flush that never completed: resume from the ones
+    // before it, and count the loss. The first flush compacts it away.
+    if (restored.torn_tail()) metrics.corrupt.add(1);
+    writer_ = std::move(restored);
     resumed_ = true;
     metrics.loads.add(1);
     metrics.resumed.add(1);
@@ -92,18 +95,21 @@ CheckpointSession::CheckpointSession(std::string path, std::uint64_t seed,
   }
 }
 
-SectionReader CheckpointSession::reader(const std::string& name) {
-  PITFALLS_REQUIRE(writer_.has_section(name),
-                   "checkpoint session has no such section");
-  return SectionReader(writer_.section(name).bytes(), name);
-}
-
 void CheckpointSession::flush() {
-  const std::string image = writer_.encode();
-  support::snapshot::write_file_atomic(path_, image);
+  // A failed write may leave a torn tail that would hide later frames, so
+  // the flush after a failure compacts again.
+  const bool append = std::exchange(appending_, false);
+  const std::string bytes = append ? writer_.pending_frame() : writer_.encode();
+  if (append) {
+    support::snapshot::append_file_durable(path_, bytes);
+  } else {
+    support::snapshot::write_file_atomic(path_, bytes);
+  }
+  writer_.mark_persisted();
+  appending_ = true;
   StoreMetrics& metrics = StoreMetrics::get();
   metrics.writes.add(1);
-  metrics.bytes_written.add(image.size());
+  metrics.bytes_written.add(bytes.size());
   if (g_crash_after_flushes != 0 &&
       g_flushes.fetch_add(1) + 1 == g_crash_after_flushes)
     std::_Exit(137);

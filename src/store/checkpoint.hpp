@@ -14,7 +14,9 @@
 //
 // Failure handling, in order of preference:
 //   * missing snapshot         -> clean start (first run; not an error)
-//   * corrupt snapshot         -> clean start + store.snapshot.corrupt
+//   * torn or corrupt frame    -> resume from the frames before it +
+//                                 store.snapshot.corrupt
+//   * corrupt header           -> clean start + store.snapshot.corrupt
 //   * seed/provenance mismatch -> clean start + store.snapshot.mismatch
 //   * log disagrees with the   -> ReplayDivergenceError +
 //     re-run mid-replay           store.snapshot.divergence; the caller
@@ -46,9 +48,9 @@ class ReplayDivergenceError final : public std::runtime_error {
 };
 
 /// One checkpoint file bound to one run identity (seed + provenance).
-/// Construction loads and validates any existing snapshot; sections carry
-/// over into the writer so flush() always persists the full state. All
-/// loads/writes/corruption events land in the store.snapshot.* metrics.
+/// Construction decodes any existing snapshot log into the section set the
+/// session then writes through. All loads/writes/corruption events land in
+/// the store.snapshot.* metrics.
 class CheckpointSession {
  public:
   /// `resume` false ignores any existing file (fresh run, e.g. --checkpoint
@@ -78,9 +80,15 @@ class CheckpointSession {
 
   /// Cursor over a section's current bytes. The view is invalidated by any
   /// mutation of that section — decode immediately.
-  support::snapshot::SectionReader reader(const std::string& name);
+  support::snapshot::SectionReader reader(const std::string& name) const {
+    return writer_.reader(name);
+  }
 
-  /// Atomically persist the current sections to path().
+  /// Durably persist the current sections to path(). The session's first
+  /// flush writes the compacted image atomically (dropping any torn tail and
+  /// dead records a resumed log carried); every later flush appends one
+  /// frame holding only what changed since the previous flush, then fsyncs.
+  /// Either way a crash leaves the state after one whole flush or the next.
   ///
   /// The store's one crash hook: when PITFALLS_CRASH_AFTER_FLUSHES holds a
   /// positive integer N, the process ends with std::_Exit(137) (SIGKILL's
@@ -97,6 +105,7 @@ class CheckpointSession {
   std::string path_;
   support::snapshot::SnapshotWriter writer_;
   bool resumed_ = false;
+  bool appending_ = false;  // path() holds this session's last flush
 };
 
 /// Book one replay-served query into store.snapshot.replayed_queries

@@ -22,6 +22,20 @@ void require_payload(const SectionReader& r, std::uint64_t elements,
   }
 }
 
+void put_doubles(SectionWriter& w, const std::vector<double>& v) {
+  w.u64(v.size());
+  for (const double x : v) w.f64(x);
+}
+
+std::vector<double> get_doubles(SectionReader& r) {
+  const std::uint64_t n = r.u64();
+  require_payload(r, n, 8);
+  std::vector<double> v;
+  v.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.f64());
+  return v;
+}
+
 }  // namespace
 
 void put_bitvec(SectionWriter& w, const BitVec& v) {
@@ -42,60 +56,6 @@ BitVec get_bitvec(SectionReader& r) {
     }
   }
   return v;
-}
-
-void put_doubles(SectionWriter& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (const double x : v) w.f64(x);
-}
-
-std::vector<double> get_doubles(SectionReader& r) {
-  const std::uint64_t n = r.u64();
-  require_payload(r, n, 8);
-  std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.f64());
-  return v;
-}
-
-void put_rng(SectionWriter& w, const support::Rng& rng) {
-  const support::Rng::State s = rng.state();
-  for (const std::uint64_t word : s.words) w.u64(word);
-  w.f64(s.spare_gaussian);
-  w.u8(s.has_spare ? 1 : 0);
-}
-
-void get_rng(SectionReader& r, support::Rng& rng) {
-  support::Rng::State s;
-  for (std::uint64_t& word : s.words) word = r.u64();
-  s.spare_gaussian = r.f64();
-  s.has_spare = r.u8() != 0;
-  rng.restore_state(s);
-}
-
-void put_crp_set(SectionWriter& w, const puf::CrpSet& crps) {
-  w.u64(crps.size());
-  for (std::size_t i = 0; i < crps.size(); ++i) {
-    const int response = crps.response(i);
-    PITFALLS_REQUIRE(response == 1 || response == -1,
-                     "CRP responses must be +/-1");
-    put_bitvec(w, crps.challenge(i));
-    w.u8(response < 0 ? std::uint8_t{1} : std::uint8_t{0});
-  }
-}
-
-puf::CrpSet get_crp_set(SectionReader& r) {
-  const std::uint64_t m = r.u64();
-  require_payload(r, m, 9);  // >= one size word + one response byte each
-  std::vector<BitVec> challenges;
-  std::vector<int> responses;
-  challenges.reserve(static_cast<std::size_t>(m));
-  responses.reserve(static_cast<std::size_t>(m));
-  for (std::uint64_t i = 0; i < m; ++i) {
-    challenges.push_back(get_bitvec(r));
-    responses.push_back(r.u8() != 0 ? -1 : +1);
-  }
-  return puf::CrpSet(std::move(challenges), std::move(responses));
 }
 
 void put_linear_model(SectionWriter& w, const ml::LinearModel& model) {
@@ -134,68 +94,6 @@ ml::SparseFourierHypothesis get_sparse_fourier(SectionReader& r) {
   return ml::SparseFourierHypothesis(static_cast<std::size_t>(n),
                                      std::move(subsets),
                                      std::move(coefficients));
-}
-
-void put_ltf(SectionWriter& w, const boolfn::Ltf& ltf) {
-  put_doubles(w, ltf.weights());
-  w.f64(ltf.threshold());
-}
-
-boolfn::Ltf get_ltf(SectionReader& r) {
-  std::vector<double> weights = get_doubles(r);
-  const double threshold = r.f64();
-  return boolfn::Ltf(std::move(weights), threshold);
-}
-
-void put_anf(SectionWriter& w, const boolfn::AnfPolynomial& poly) {
-  w.u64(poly.num_vars());
-  w.u64(poly.sparsity());
-  for (const BitVec& monomial : poly.monomials()) put_bitvec(w, monomial);
-}
-
-boolfn::AnfPolynomial get_anf(SectionReader& r) {
-  const std::uint64_t n = r.u64();
-  const std::uint64_t terms = r.u64();
-  require_payload(r, terms, 8);
-  std::vector<BitVec> monomials;
-  monomials.reserve(static_cast<std::size_t>(terms));
-  for (std::uint64_t i = 0; i < terms; ++i) monomials.push_back(get_bitvec(r));
-  return boolfn::AnfPolynomial(static_cast<std::size_t>(n),
-                               std::move(monomials));
-}
-
-void put_dfa(SectionWriter& w, const circuit::Dfa& dfa) {
-  w.u64(dfa.num_states());
-  w.u64(dfa.alphabet_size());
-  w.u64(dfa.start());
-  for (std::size_t s = 0; s < dfa.num_states(); ++s) {
-    for (std::size_t a = 0; a < dfa.alphabet_size(); ++a)
-      w.u64(dfa.transition(s, a));
-    w.u8(dfa.accepting(s) ? 1 : 0);
-  }
-}
-
-circuit::Dfa get_dfa(SectionReader& r) {
-  const std::uint64_t states = r.u64();
-  const std::uint64_t alphabet = r.u64();
-  const std::uint64_t start = r.u64();
-  PITFALLS_REQUIRE(start < states, "snapshot DFA: start state out of range");
-  require_payload(r, states, alphabet > 0 ? alphabet * 8 + 1 : 1);
-  circuit::Dfa dfa(static_cast<std::size_t>(states),
-              static_cast<std::size_t>(alphabet),
-              static_cast<std::size_t>(start));
-  for (std::uint64_t s = 0; s < states; ++s) {
-    for (std::uint64_t a = 0; a < alphabet; ++a) {
-      const std::uint64_t target = r.u64();
-      PITFALLS_REQUIRE(target < states,
-                       "snapshot DFA: transition target out of range");
-      dfa.set_transition(static_cast<std::size_t>(s),
-                         static_cast<std::size_t>(a),
-                         static_cast<std::size_t>(target));
-    }
-    dfa.set_accepting(static_cast<std::size_t>(s), r.u8() != 0);
-  }
-  return dfa;
 }
 
 void put_fault_state(SectionWriter& w,

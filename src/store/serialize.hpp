@@ -10,15 +10,10 @@
 // structurally sound; payload integrity itself is the snapshot CRC's job.
 #pragma once
 
-#include "boolfn/anf.hpp"
-#include "boolfn/ltf.hpp"
-#include "circuit/dfa.hpp"
 #include "ml/linear_model.hpp"
 #include "ml/lmn.hpp"
 #include "ml/robust/faults.hpp"
 #include "ml/robust/outcome.hpp"
-#include "puf/crp.hpp"
-#include "support/rng.hpp"
 #include "support/snapshot/snapshot.hpp"
 
 namespace pitfalls::store {
@@ -32,17 +27,6 @@ using support::snapshot::SectionWriter;
 void put_bitvec(SectionWriter& w, const BitVec& v);
 BitVec get_bitvec(SectionReader& r);
 
-void put_doubles(SectionWriter& w, const std::vector<double>& v);
-std::vector<double> get_doubles(SectionReader& r);
-
-void put_rng(SectionWriter& w, const support::Rng& rng);
-void get_rng(SectionReader& r, support::Rng& rng);
-
-// ---- CRP sets -------------------------------------------------------------
-
-void put_crp_set(SectionWriter& w, const puf::CrpSet& crps);
-puf::CrpSet get_crp_set(SectionReader& r);
-
 // ---- hypothesis classes ---------------------------------------------------
 
 /// LinearModel's FeatureMap is code, not data; the caller re-supplies the
@@ -54,15 +38,6 @@ ml::LinearModel get_linear_model(SectionReader& r,
 void put_sparse_fourier(SectionWriter& w,
                         const ml::SparseFourierHypothesis& h);
 ml::SparseFourierHypothesis get_sparse_fourier(SectionReader& r);
-
-void put_ltf(SectionWriter& w, const boolfn::Ltf& ltf);
-boolfn::Ltf get_ltf(SectionReader& r);
-
-void put_anf(SectionWriter& w, const boolfn::AnfPolynomial& poly);
-boolfn::AnfPolynomial get_anf(SectionReader& r);
-
-void put_dfa(SectionWriter& w, const circuit::Dfa& dfa);
-circuit::Dfa get_dfa(SectionReader& r);
 
 // ---- robust-learning state ------------------------------------------------
 

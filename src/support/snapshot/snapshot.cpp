@@ -1,10 +1,10 @@
 #include "support/snapshot/snapshot.hpp"
 
+#include <array>
 #include <bit>
 #include <cerrno>
-#include <cstdio> 
+#include <cstdio>
 #include <cstring>
-#include <array>
 
 #include <unistd.h>  // fsync
 
@@ -13,6 +13,11 @@ namespace pitfalls::support::snapshot {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'I', 'T', 'F', 'S', 'N', 'A', 'P'};
+
+// Frame-body ops.
+constexpr std::uint8_t kAppend = 0;
+constexpr std::uint8_t kReplace = 1;
+constexpr std::uint8_t kRemove = 2;
 
 std::array<std::uint32_t, 256> make_crc_table() {
   std::array<std::uint32_t, 256> table{};
@@ -25,18 +30,6 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFFU));
-  out.push_back(static_cast<char>((v >> 8) & 0xFFU));
-  out.push_back(static_cast<char>((v >> 16) & 0xFFU));
-  out.push_back(static_cast<char>((v >> 24) & 0xFFU));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xFFU));
-}
-
 /// RAII FILE handle so every error path closes cleanly.
 struct File {
   std::FILE* f = nullptr;
@@ -44,6 +37,24 @@ struct File {
     if (f != nullptr) std::fclose(f);
   }
 };
+
+/// Open `path` in `mode`, write all of `bytes`, then flush and fsync.
+void write_synced(const std::string& path, const char* mode,
+                  std::string_view bytes) {
+  File out;
+  out.f = std::fopen(path.c_str(), mode);
+  if (out.f == nullptr)
+    throw SnapshotError(SnapshotFault::io, "cannot open " + path + " (" +
+                                               std::strerror(errno) + ")");
+  if (!bytes.empty() &&
+      std::fwrite(bytes.data(), 1, bytes.size(), out.f) != bytes.size())
+    throw SnapshotError(SnapshotFault::io, "short write to " + path);
+  // Flush userspace buffers, then force the kernel to persist them: a
+  // rename or a later append before they are durable could surface an
+  // empty or torn file after a power loss.
+  if (std::fflush(out.f) != 0 || fsync(fileno(out.f)) != 0)
+    throw SnapshotError(SnapshotFault::io, "cannot flush " + path);
+}
 
 }  // namespace
 
@@ -97,30 +108,21 @@ std::string read_file_bytes(const std::string& path) {
 
 void write_file_atomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
-  {
-    File out;
-    out.f = std::fopen(tmp.c_str(), "wb");
-    if (out.f == nullptr)
-      throw SnapshotError(SnapshotFault::io, "cannot create " + tmp + " (" +
-                                                 std::strerror(errno) + ")");
-    if (!bytes.empty() &&
-        std::fwrite(bytes.data(), 1, bytes.size(), out.f) != bytes.size()) {
-      std::remove(tmp.c_str());
-      throw SnapshotError(SnapshotFault::io, "short write to " + tmp);
-    }
-    // Flush userspace buffers, then force the kernel to persist them before
-    // the rename publishes the file: rename-before-durable could surface an
-    // empty/torn file after a power loss.
-    if (std::fflush(out.f) != 0 || fsync(fileno(out.f)) != 0) {
-      std::remove(tmp.c_str());
-      throw SnapshotError(SnapshotFault::io, "cannot flush " + tmp);
-    }
+  try {
+    write_synced(tmp, "wb", bytes);
+  } catch (const SnapshotError&) {
+    std::remove(tmp.c_str());
+    throw;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw SnapshotError(SnapshotFault::io,
                         "cannot rename " + tmp + " over " + path);
   }
+}
+
+void append_file_durable(const std::string& path, std::string_view bytes) {
+  write_synced(path, "ab", bytes);
 }
 
 void probe_writable(const std::string& path) {
@@ -139,9 +141,15 @@ void probe_writable(const std::string& path) {
 // SectionWriter / SectionReader
 // ---------------------------------------------------------------------------
 
-void SectionWriter::u32(std::uint32_t v) { put_u32(bytes_, v); }
+void SectionWriter::u32(std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8)
+    bytes_.push_back(static_cast<char>((v >> shift) & 0xFFU));
+}
 
-void SectionWriter::u64(std::uint64_t v) { put_u64(bytes_, v); }
+void SectionWriter::u64(std::uint64_t v) {
+  for (int shift = 0; shift < 64; shift += 8)
+    bytes_.push_back(static_cast<char>((v >> shift) & 0xFFU));
+}
 
 void SectionWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -151,7 +159,7 @@ void SectionWriter::str(std::string_view s) {
   bytes_.append(s);
 }
 
-std::string_view SectionReader::take(std::size_t n) {
+std::string_view SectionReader::raw(std::size_t n) {
   if (n > bytes_.size() - pos_)
     throw SnapshotError(SnapshotFault::bad_section,
                         "section '" + name_ + "' ran dry (" +
@@ -163,11 +171,11 @@ std::string_view SectionReader::take(std::size_t n) {
 }
 
 std::uint8_t SectionReader::u8() {
-  return static_cast<std::uint8_t>(take(1)[0]);
+  return static_cast<std::uint8_t>(raw(1)[0]);
 }
 
 std::uint32_t SectionReader::u32() {
-  const std::string_view b = take(4);
+  const std::string_view b = raw(4);
   std::uint32_t v = 0;
   for (int i = 3; i >= 0; --i)
     v = (v << 8) | static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
@@ -175,7 +183,7 @@ std::uint32_t SectionReader::u32() {
 }
 
 std::uint64_t SectionReader::u64() {
-  const std::string_view b = take(8);
+  const std::string_view b = raw(8);
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i)
     v = (v << 8) | static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
@@ -186,7 +194,7 @@ double SectionReader::f64() { return std::bit_cast<double>(u64()); }
 
 std::string SectionReader::str() {
   const std::uint32_t len = u32();
-  return std::string(take(len));
+  return std::string(raw(len));
 }
 
 // ---------------------------------------------------------------------------
@@ -196,218 +204,172 @@ std::string SectionReader::str() {
 SnapshotWriter::SnapshotWriter(std::uint64_t seed, std::string provenance)
     : seed_(seed), provenance_(std::move(provenance)) {}
 
+std::size_t SnapshotWriter::index_of(const std::string& name) const {
+  std::size_t i = 0;
+  while (i < sections_.size() && sections_[i].name != name) ++i;
+  return i;
+}
+
+SnapshotWriter::Section& SnapshotWriter::get(const std::string& name) {
+  const std::size_t i = index_of(name);
+  if (i == sections_.size()) sections_.push_back(Section{name, {}});
+  return sections_[i];
+}
+
 SectionWriter& SnapshotWriter::section(const std::string& name) {
-  for (auto& [existing, writer] : sections_)
-    if (existing == name) return writer;
-  sections_.emplace_back(name, SectionWriter{});
-  return sections_.back().second;
+  return get(name).bytes;
 }
 
 SectionWriter& SnapshotWriter::reset_section(const std::string& name) {
-  SectionWriter& writer = section(name);
-  writer.clear();
-  return writer;
+  Section& s = get(name);
+  s.bytes = SectionWriter{};
+  s.whole = true;
+  return s.bytes;
 }
 
 void SnapshotWriter::remove_section(const std::string& name) {
-  for (auto it = sections_.begin(); it != sections_.end(); ++it) {
-    if (it->first == name) {
-      sections_.erase(it);
-      return;
-    }
-  }
+  const std::size_t i = index_of(name);
+  if (i == sections_.size()) return;
+  if (sections_[i].logged) removed_.push_back(name);
+  sections_.erase(sections_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 bool SnapshotWriter::has_section(const std::string& name) const {
-  for (const auto& [existing, writer] : sections_)
-    if (existing == name) return true;
-  return false;
+  return index_of(name) != sections_.size();
+}
+
+SectionReader SnapshotWriter::reader(const std::string& name) const {
+  const std::size_t i = index_of(name);
+  if (i == sections_.size())
+    throw SnapshotError(SnapshotFault::bad_section,
+                        "no section '" + name + "'");
+  return SectionReader(sections_[i].bytes.bytes(), name);
 }
 
 std::vector<std::string> SnapshotWriter::section_names() const {
   std::vector<std::string> names;
   names.reserve(sections_.size());
-  for (const auto& [name, writer] : sections_) names.push_back(name);
+  for (const Section& s : sections_) names.push_back(s.name);
   return names;
 }
 
+std::string SnapshotWriter::frame(bool compact) const {
+  SectionWriter body;
+  if (!compact) {
+    for (const std::string& name : removed_) {
+      body.u8(kRemove);
+      body.str(name);
+    }
+  }
+  for (const Section& s : sections_) {
+    const std::string& bytes = s.bytes.bytes();
+    if (compact || s.whole) {
+      body.u8(kReplace);
+      body.str(s.name);
+      body.str(bytes);
+    } else if (s.persisted < bytes.size()) {
+      body.u8(kAppend);
+      body.str(s.name);
+      body.str(std::string_view(bytes).substr(s.persisted));
+    }
+  }
+  PITFALLS_REQUIRE(body.size() <= 0xFFFFFFFFULL, "frame too large for u32");
+  SectionWriter out;
+  out.u32(static_cast<std::uint32_t>(body.size()));
+  out.u32(crc32(body.bytes()));
+  out.raw(body.bytes());
+  return out.bytes();
+}
+
 std::string SnapshotWriter::encode() const {
-  // Header size is a pure function of the names, so compute it first and
-  // lay payloads out right behind it.
-  std::size_t header_size = sizeof kMagic + 4 + 8 + 4 + provenance_.size() + 4;
-  for (const auto& [name, writer] : sections_)
-    header_size += 4 + name.size() + 8 + 8 + 4;
-  header_size += 4;  // header crc
-
-  std::string out;
-  out.reserve(header_size);
-  out.append(kMagic, sizeof kMagic);
-  put_u32(out, SnapshotReader::kFormatVersion);
-  put_u64(out, seed_);
-  put_u32(out, static_cast<std::uint32_t>(provenance_.size()));
-  out.append(provenance_);
-  put_u32(out, static_cast<std::uint32_t>(sections_.size()));
-  std::size_t offset = header_size;
-  for (const auto& [name, writer] : sections_) {
-    put_u32(out, static_cast<std::uint32_t>(name.size()));
-    out.append(name);
-    put_u64(out, offset);
-    put_u64(out, writer.size());
-    put_u32(out, crc32(writer.bytes()));
-    offset += writer.size();
-  }
-  put_u32(out, crc32(out));
-  PITFALLS_ENSURE(out.size() == header_size, "header layout mismatch");
-  for (const auto& [name, writer] : sections_) out.append(writer.bytes());
-  return out;
+  SectionWriter header;
+  header.raw(std::string_view(kMagic, sizeof kMagic));
+  header.u32(kFormatVersion);
+  header.u64(seed_);
+  header.str(provenance_);
+  header.u32(crc32(header.bytes()));
+  return header.bytes() + frame(/*compact=*/true);
 }
 
-void SnapshotWriter::write(const std::string& path) const {
-  write_file_atomic(path, encode());
+std::string SnapshotWriter::pending_frame() const {
+  return frame(/*compact=*/false);
 }
 
-// ---------------------------------------------------------------------------
-// SnapshotReader
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Bounds-checked header cursor (distinct error kind from SectionReader:
-/// running out of header bytes means the FILE is truncated).
-struct HeaderCursor {
-  std::string_view bytes;
-  std::size_t pos = 0;
-
-  std::string_view take(std::size_t n) {
-    if (n > bytes.size() - pos)
-      throw SnapshotError(SnapshotFault::truncated,
-                          "snapshot header truncated");
-    const std::string_view out = bytes.substr(pos, n);
-    pos += n;
-    return out;
+void SnapshotWriter::mark_persisted() {
+  for (Section& s : sections_) {
+    s.logged = true;
+    s.whole = false;
+    s.persisted = s.bytes.size();
   }
-  std::uint32_t u32() {
-    const std::string_view b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-      v = (v << 8) |
-          static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::string_view b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-      v = (v << 8) |
-          static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
-    return v;
-  }
-};
+  removed_.clear();
+}
 
-}  // namespace
-
-SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
-  HeaderCursor cur{bytes_};
-  const std::string_view magic = cur.take(sizeof kMagic);
-  if (std::memcmp(magic.data(), kMagic, sizeof kMagic) != 0)
-    throw SnapshotError(SnapshotFault::bad_magic, "not a snapshot file");
-  version_ = cur.u32();
-  if (version_ != kFormatVersion)
-    throw SnapshotError(SnapshotFault::bad_version,
-                        "unsupported snapshot version " +
-                            std::to_string(version_));
-  seed_ = cur.u64();
-  provenance_ = std::string(cur.take(cur.u32()));
-  const std::uint32_t count = cur.u32();
-  // A table entry occupies at least 24 header bytes (empty name), so a
-  // count beyond remaining/24 is impossible in a well-formed file. Checking
-  // here (before reserve) keeps a corrupted count from forcing a huge
-  // allocation before the header CRC gets its chance to reject the file.
-  if (count > (bytes_.size() - cur.pos) / 24)
-    throw SnapshotError(SnapshotFault::truncated,
-                        "section table exceeds file size");
-
-  struct RawEntry {
-    std::string name;
-    std::uint64_t offset;
-    std::uint64_t size;
-    std::uint32_t crc;
-  };
-  std::vector<RawEntry> raw;
-  raw.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    RawEntry entry;
-    entry.name = std::string(cur.take(cur.u32()));
-    entry.offset = cur.u64();
-    entry.size = cur.u64();
-    entry.crc = cur.u32();
-    raw.push_back(std::move(entry));
-  }
-  const std::size_t header_end = cur.pos;
-  const std::uint32_t stored_header_crc = cur.u32();
-  if (crc32(std::string_view(bytes_).substr(0, header_end)) !=
-      stored_header_crc)
-    throw SnapshotError(SnapshotFault::bad_crc, "header checksum mismatch");
-
-  // Sections must lie back-to-back behind the header and exactly cover the
-  // file — anything else (overlap, gap, trailing garbage) is malformed, and
-  // a file shorter than the declared payloads is truncated.
-  std::size_t expect = cur.pos;
-  for (const RawEntry& entry : raw) {
-    if (entry.offset != expect ||
-        entry.size > bytes_.size() - std::min(bytes_.size(), expect))
-      break;  // classified below by the total-size check
-    expect += entry.size;
-  }
-  std::size_t total = cur.pos;
-  for (const RawEntry& entry : raw) total += entry.size;
-  if (bytes_.size() < total)
-    throw SnapshotError(SnapshotFault::truncated,
-                        "snapshot payload truncated (" +
-                            std::to_string(bytes_.size()) + " of " +
-                            std::to_string(total) + " bytes)");
-  if (bytes_.size() != total || expect != total)
-    throw SnapshotError(SnapshotFault::malformed,
-                        "section table does not tile the file");
-
-  for (const RawEntry& entry : raw) {
-    if (entries_.count(entry.name) != 0)
-      throw SnapshotError(SnapshotFault::malformed,
-                          "duplicate section '" + entry.name + "'");
-    const std::string_view payload =
-        std::string_view(bytes_).substr(entry.offset, entry.size);
-    if (crc32(payload) != entry.crc)
-      throw SnapshotError(SnapshotFault::bad_crc, "section '" + entry.name +
-                                                      "' checksum mismatch");
-    entries_[entry.name] =
-        Entry{static_cast<std::size_t>(entry.offset),
-              static_cast<std::size_t>(entry.size)};
-    order_.push_back(entry.name);
+void SnapshotWriter::apply(std::string_view body) {
+  SectionReader ops(body, "frame");
+  try {
+    while (!ops.at_end()) {
+      const std::uint8_t op = ops.u8();
+      const std::string name = ops.str();
+      if (op == kRemove) {
+        remove_section(name);
+      } else if (op == kReplace) {
+        reset_section(name).raw(ops.raw(ops.u32()));
+      } else if (op == kAppend) {
+        section(name).raw(ops.raw(ops.u32()));
+      } else {
+        throw SnapshotError(SnapshotFault::malformed,
+                            "unknown frame op " + std::to_string(op));
+      }
+    }
+  } catch (const SnapshotError& error) {
+    if (error.fault() != SnapshotFault::bad_section) throw;
+    throw SnapshotError(SnapshotFault::malformed, "frame ops ran past the body");
   }
 }
 
-SnapshotReader SnapshotReader::open(const std::string& path) {
-  return SnapshotReader(read_file_bytes(path));
-}
+SnapshotWriter SnapshotWriter::decode(std::string_view image) {
+  SectionReader in(image, "header");
+  std::uint64_t seed = 0;
+  std::string provenance;
+  try {
+    if (in.raw(sizeof kMagic) != std::string_view(kMagic, sizeof kMagic))
+      throw SnapshotError(SnapshotFault::bad_magic, "not a snapshot file");
+    const std::uint32_t version = in.u32();
+    if (version != kFormatVersion)
+      throw SnapshotError(SnapshotFault::bad_version,
+                          "unsupported snapshot version " +
+                              std::to_string(version));
+    seed = in.u64();
+    provenance = in.str();
+    const std::size_t header_size = image.size() - in.remaining();
+    if (crc32(image.substr(0, header_size)) != in.u32())
+      throw SnapshotError(SnapshotFault::bad_crc, "header checksum mismatch");
+  } catch (const SnapshotError& error) {
+    if (error.fault() != SnapshotFault::bad_section) throw;
+    throw SnapshotError(SnapshotFault::truncated, "snapshot header truncated");
+  }
 
-bool SnapshotReader::has_section(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-std::string_view SnapshotReader::section_bytes(const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end())
-    throw SnapshotError(SnapshotFault::bad_section,
-                        "no section '" + name + "'");
-  return std::string_view(bytes_).substr(it->second.offset, it->second.size);
-}
-
-SectionReader SnapshotReader::section(const std::string& name) const {
-  return SectionReader(section_bytes(name), name);
-}
-
-std::vector<std::string> SnapshotReader::section_names() const {
-  return order_;
+  SnapshotWriter log(seed, std::move(provenance));
+  while (!in.at_end()) {
+    if (in.remaining() < 8) {
+      log.torn_tail_ = true;
+      break;
+    }
+    const std::uint32_t size = in.u32();
+    const std::uint32_t crc = in.u32();
+    if (size > in.remaining()) {
+      log.torn_tail_ = true;
+      break;
+    }
+    const std::string_view body = in.raw(size);
+    if (crc32(body) != crc) {
+      log.torn_tail_ = true;
+      break;
+    }
+    log.apply(body);
+  }
+  log.mark_persisted();
+  return log;
 }
 
 }  // namespace pitfalls::support::snapshot

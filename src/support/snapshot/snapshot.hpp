@@ -1,33 +1,34 @@
-// Crash-safe snapshot files — the binary format under the experiment store
+// Crash-safe snapshot logs — the binary format under the experiment store
 // (src/store, DESIGN.md §14).
 //
-// A snapshot is a single self-describing file:
+// A snapshot is an append-only log of named byte sections:
 //
 //   magic "PITFSNAP"            8 bytes
-//   format version              u32 LE
+//   format version              u32 LE   (2)
 //   seed                        u64 LE   (seed provenance: the root seed)
 //   provenance string           u32 length + bytes (free-form, e.g. bench
 //                                argv + config fingerprint)
-//   section count               u32 LE
-//   section table               per entry: name (u32 length + bytes),
-//                                payload offset u64, payload size u64,
-//                                payload crc32 u32
 //   header crc32                u32 LE over every byte above
-//   section payloads            concatenated, in table order
+//   frames, each:               body length u32, crc32(body) u32, body
 //
-// Every integer is little-endian regardless of host byte order. The header
-// CRC covers the magic, version, provenance and the whole table; each
-// payload carries its own CRC. A truncated file, a bit flip anywhere, a
-// wrong magic or an unknown version are all detected at open() and reported
-// as a typed SnapshotError — corruption can degrade a run to a clean
-// restart (src/store policy) but can never be read as valid data.
+// A body is a sequence of ops, applied in order: append <section> <bytes>,
+// replace <section> <bytes> (create or overwrite) and remove <section>.
+// Names and bytes are u32 length + bytes. Every integer is little-endian
+// regardless of host byte order.
 //
-// Atomicity: write() serialises to `path + ".tmp"`, fsyncs, then renames
-// over `path`. A crash at ANY byte offset leaves either the complete old
-// snapshot or the complete new one at `path`, never a torn mix; a stray
-// .tmp from a killed writer is ignored by readers and overwritten by the
-// next write. The kill-at-every-byte-offset torture test in store_test.cpp
-// pins this contract down.
+// Writing: the first flush of a session writes the compacted image
+// (encode(): the header plus one frame replacing every live section) with
+// write_file_atomic; every later flush appends one frame holding only what
+// changed since the previous one (pending_frame()) with append_file_durable.
+// One frame per flush, so a torn tail can never split a flush.
+//
+// Reading: decode() rejects a damaged header with a typed SnapshotError,
+// then applies frames until the first one whose declared length runs past
+// the end or whose CRC fails; that tail is ignored and torn_tail() says so.
+// Recovery is at flush granularity: a crash at any byte offset leaves the
+// state after one whole flush or the next, never a mix. The
+// truncate-at-every-offset and bit-flip-at-every-offset torture tests in
+// store_test.cpp pin this contract down.
 //
 // This header is one of the two sanctioned raw-file-I/O sites in the tree
 // (the other is src/obs); the `raw-io` lint rule forbids fopen/fstream
@@ -35,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -45,16 +45,18 @@
 
 namespace pitfalls::support::snapshot {
 
+constexpr std::uint32_t kFormatVersion = 2;
+
 /// Why a snapshot could not be read. `truncated` and `bad_crc` are the
-/// corruption cases the torture tests sweep; `bad_version` covers files
-/// from a future (or mangled) format revision.
+/// header corruption cases the torture tests sweep; `bad_version` covers
+/// files from another (or mangled) format revision.
 enum class SnapshotFault {
   io,           // file missing / unreadable / unwritable
   bad_magic,    // not a snapshot file at all
   bad_version,  // unknown format version
-  truncated,    // file ends before the declared bytes
-  bad_crc,      // header or payload checksum mismatch
-  malformed,    // internal inconsistency (overlapping/out-of-range sections)
+  truncated,    // file ends inside the header
+  bad_crc,      // header checksum mismatch
+  malformed,    // a CRC-clean frame whose ops do not parse
   bad_section,  // a requested section is absent or its payload ran dry
 };
 
@@ -70,7 +72,7 @@ class SnapshotError : public std::runtime_error {
   SnapshotFault fault_;
 };
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the per-section checksum.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the header and frame checksum.
 /// `seed` chains partial computations: crc32(b, crc32(a)) == crc32(a+b).
 std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0);
 
@@ -83,6 +85,10 @@ std::string read_file_bytes(const std::string& path);
 /// rename over `path`. Throws SnapshotError{io} on any failure (the .tmp is
 /// removed best-effort). After return, `path` holds exactly `bytes`.
 void write_file_atomic(const std::string& path, std::string_view bytes);
+
+/// Append `bytes` to `path`, then flush+fsync. Throws SnapshotError{io} on
+/// any failure, after which the file may end in a torn tail.
+void append_file_durable(const std::string& path, std::string_view bytes);
 
 /// Throws SnapshotError{io} unless `path` can be written (probed by
 /// creating and removing `path + ".tmp"`, without touching `path` itself).
@@ -108,7 +114,6 @@ class SectionWriter {
   const std::string& bytes() const { return bytes_; }
   bool empty() const { return bytes_.empty(); }
   std::size_t size() const { return bytes_.size(); }
-  void clear() { bytes_.clear(); }
 
  private:
   std::string bytes_;
@@ -128,25 +133,33 @@ class SectionReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   std::string str();
+  /// The next `n` bytes, no prefix.
+  std::string_view raw(std::size_t n);
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool at_end() const { return pos_ == bytes_.size(); }
   const std::string& name() const { return name_; }
 
  private:
-  std::string_view take(std::size_t n);
-
   std::string_view bytes_;
   std::string name_;
   std::size_t pos_ = 0;
 };
 
-/// Builds a snapshot in memory; write() is atomic. Section order is the
-/// order of first creation, so encode() is deterministic for a fixed call
-/// sequence (byte-identical snapshots for byte-identical runs).
+/// The in-memory section set behind one snapshot log, as written through
+/// and as decoded. Section order is the order of first creation, so
+/// encode() is deterministic for a fixed call sequence. Each section
+/// remembers how much of it the log already holds, so pending_frame()
+/// carries the bytes that changed, not the whole image.
 class SnapshotWriter {
  public:
   SnapshotWriter(std::uint64_t seed, std::string provenance);
+
+  /// Rebuild the section set from a log image. A damaged header throws a
+  /// typed SnapshotError; a torn or corrupt frame ends the log there
+  /// (torn_tail()). A CRC-clean frame that does not parse is `malformed`.
+  /// Everything decoded counts as persisted.
+  static SnapshotWriter decode(std::string_view image);
 
   /// Get-or-create: an existing section is returned for appending.
   SectionWriter& section(const std::string& name);
@@ -157,58 +170,46 @@ class SnapshotWriter {
   /// outcome). Unknown names are ignored.
   void remove_section(const std::string& name);
   bool has_section(const std::string& name) const;
+  /// Cursor over a section's bytes; throws SnapshotError{bad_section} when
+  /// absent. Any mutation of that section invalidates it.
+  SectionReader reader(const std::string& name) const;
 
   std::uint64_t seed() const { return seed_; }
   const std::string& provenance() const { return provenance_; }
   std::vector<std::string> section_names() const;
+  /// decode() ignored bytes after the last whole frame.
+  bool torn_tail() const { return torn_tail_; }
 
-  /// The complete file image (header + table + payloads + CRCs).
+  /// The compacted image: the header plus one frame with a `replace` per
+  /// live section, in creation order.
   std::string encode() const;
-  /// encode() + write_file_atomic(path).
-  void write(const std::string& path) const;
+  /// One frame (length, CRC, body) of the changes since the last
+  /// mark_persisted(): `remove` for each dropped section the log holds,
+  /// `replace` for each new or reset one, `append` for new bytes. Nothing
+  /// changed gives an empty body.
+  std::string pending_frame() const;
+  /// Record that the log now holds the current state.
+  void mark_persisted();
 
  private:
-  std::uint64_t seed_;
-  std::string provenance_;
-  std::vector<std::pair<std::string, SectionWriter>> sections_;
-};
-
-/// Parses and fully validates a snapshot image: magic, version, header CRC,
-/// table sanity, and every payload CRC up front. A SnapshotReader that
-/// constructed successfully is internally consistent.
-class SnapshotReader {
- public:
-  /// Validate an in-memory image (the unit the torture tests mutate).
-  explicit SnapshotReader(std::string bytes);
-  /// read_file_bytes(path) + validation.
-  static SnapshotReader open(const std::string& path);
-
-  static constexpr std::uint32_t kFormatVersion = 1;
-
-  std::uint32_t version() const { return version_; }
-  std::uint64_t seed() const { return seed_; }
-  const std::string& provenance() const { return provenance_; }
-
-  bool has_section(const std::string& name) const;
-  /// Cursor over a section's payload; throws SnapshotError{bad_section}
-  /// when absent.
-  SectionReader section(const std::string& name) const;
-  /// Raw payload bytes (for forwarding sections into a new writer).
-  std::string_view section_bytes(const std::string& name) const;
-  std::vector<std::string> section_names() const;
-
- private:
-  struct Entry {
-    std::size_t offset;
-    std::size_t size;
+  struct Section {
+    std::string name;
+    SectionWriter bytes;
+    bool logged = false;        // the log holds this section
+    bool whole = true;          // new or reset since the last mark
+    std::size_t persisted = 0;  // prefix of `bytes` the log holds
   };
 
-  std::string bytes_;
-  std::uint32_t version_ = 0;
-  std::uint64_t seed_ = 0;
+  std::size_t index_of(const std::string& name) const;  // size(): absent
+  Section& get(const std::string& name);                 // get-or-create
+  std::string frame(bool compact) const;
+  void apply(std::string_view body);
+
+  std::uint64_t seed_;
   std::string provenance_;
-  std::vector<std::string> order_;
-  std::map<std::string, Entry> entries_;
+  std::vector<Section> sections_;
+  std::vector<std::string> removed_;  // logged sections dropped since the mark
+  bool torn_tail_ = false;
 };
 
 }  // namespace pitfalls::support::snapshot

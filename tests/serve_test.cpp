@@ -541,6 +541,43 @@ TEST(ServeDaemon, ResumeRefusesMismatchedSpecFingerprint) {
   EXPECT_TRUE(find_line(second.lines, "resumed", "a1").empty());
 }
 
+// A session file has one writer at a time. Two jobs of one wave that name
+// the same session would journal into it concurrently, so the second is
+// refused at submission, like a duplicate id; the stream is then identical
+// at every thread count. A later wave may use the session again.
+TEST(ServeDaemon, OneWaveRefusesASecondJobOnTheSameSession) {
+  PoolSizeGuard guard;
+  const std::vector<std::string> input = {
+      attack_job("A", 7, 11, 40, 40, R"(,"session":"S")"),
+      attack_job("B", 7, 12, 40, 40, R"(,"session":"S")"),
+      kRun,
+      attack_job("C", 7, 13, 40, 40, R"(,"session":"S")"),
+      kDrain,
+  };
+  std::string reference;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    support::set_pool_thread_count(threads);
+    TempCheckpoint file("owner", {"S"});
+    serve::DaemonConfig config;
+    config.fleet = small_fleet();
+    config.checkpoint_path = file.path();
+    const std::uint64_t errors = counter_value("serve.wire.errors");
+    const ServeRun run = run_daemon(config, input);
+    EXPECT_EQ(run.status, 0);
+    EXPECT_EQ(counter_value("serve.wire.errors") - errors, 1u);
+    EXPECT_EQ(count_type(run.lines, "error"), 1u) << run.joined;
+    EXPECT_EQ(count_type(run.lines, "outcome"), 2u) << run.joined;
+    const std::string error = find_line(run.lines, "error", "B");
+    ASSERT_FALSE(error.empty()) << run.joined;
+    EXPECT_NE(str_of(error, "message").find("session"), std::string::npos);
+    EXPECT_TRUE(find_line(run.lines, "ack", "B").empty());
+    EXPECT_FALSE(find_line(run.lines, "outcome", "A").empty());
+    EXPECT_FALSE(find_line(run.lines, "outcome", "C").empty());
+    if (threads == 1) reference = run.joined;
+    EXPECT_EQ(run.joined, reference) << "threads=" << threads;
+  }
+}
+
 TEST(ServeDaemon, ResumeWithoutCheckpointIsRejected) {
   // With no journal to read, --resume would silently re-execute every job
   // and refuse "session" jobs; the daemon refuses to start instead.

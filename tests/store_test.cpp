@@ -1,13 +1,16 @@
-// Tests for the crash-safe experiment store (DESIGN.md §14): snapshot
-// format integrity (corruption torture sweeps), bit-exact codec round
-// trips, checkpoint sessions, oracle journal record/replay, and the
-// resume-determinism + budget-accounting contracts the benches rely on.
+// Tests for the crash-safe experiment store (DESIGN.md §14): snapshot log
+// integrity (corruption torture sweeps, seeded histories, flat flush cost),
+// bit-exact codec round trips, checkpoint sessions, oracle journal
+// record/replay, and the resume-determinism + budget-accounting contracts
+// the benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,15 +69,52 @@ BitVec make_bitvec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// A small reference snapshot image shared by the corruption sweeps.
-std::string reference_image() {
-  SnapshotWriter w(42, "store_test.v1");
+// A reference log shared by the corruption sweeps: the compacted image of
+// its first flush, then three frames that append, replace, create and
+// remove sections (one removes a section and creates it again, which moves
+// it last). After each flush, `ends` holds the log size and `states` the
+// compacted image of the section set, the byte-for-byte identity of a state.
+struct ReferenceLog {
+  std::string image;
+  std::size_t header_size = 0;
+  std::vector<std::size_t> ends;
+  std::vector<std::string> states;
+};
+
+ReferenceLog reference_log() {
+  SnapshotWriter w(42, "store_test.v2");
+  ReferenceLog log;
+  log.header_size = w.encode().size() - 8;  // no sections: an empty frame
+  const auto flush = [&] {
+    log.image += log.ends.empty() ? w.encode() : w.pending_frame();
+    w.mark_persisted();
+    log.ends.push_back(log.image.size());
+    log.states.push_back(w.encode());
+  };
   SectionWriter& a = w.section("alpha");
   a.u32(7);
   a.str("payload");
-  SectionWriter& b = w.section("beta");
-  for (int i = 0; i < 32; ++i) b.u8(static_cast<std::uint8_t>(i));
-  return w.encode();
+  for (int i = 0; i < 32; ++i) w.section("beta").u8(static_cast<std::uint8_t>(i));
+  flush();
+  w.section("alpha").str("more");  // append
+  w.reset_section("beta").u64(99);  // replace
+  w.section("gamma").u8(1);         // create
+  flush();
+  w.remove_section("alpha");  // remove
+  w.section("gamma").u8(2);   // append
+  flush();
+  w.remove_section("beta");
+  w.section("beta").str("reborn");  // remove, then create again: now last
+  w.reset_section("gamma");         // replace with nothing
+  flush();
+  return log;
+}
+
+// The compacted image of the state a log prefix holds once `frames` frames
+// of the reference log have applied (0: the header alone, no sections).
+std::string state_after(const ReferenceLog& log, std::size_t frames) {
+  return frames == 0 ? SnapshotWriter(42, "store_test.v2").encode()
+                     : log.states[frames - 1];
 }
 
 // ---------------------------------------------------------------- format
@@ -90,12 +130,13 @@ TEST(SnapshotFormat, RoundTripsSeedProvenanceAndSections) {
   s.str("hello");
   w.section("empty");
 
-  const SnapshotReader r(w.encode());
+  const SnapshotWriter r = SnapshotWriter::decode(w.encode());
   EXPECT_EQ(r.seed(), 9001u);
   EXPECT_EQ(r.provenance(), "bench_x.v1.smoke=1");
   EXPECT_EQ(r.section_names(), (std::vector<std::string>{"s", "empty"}));
+  EXPECT_FALSE(r.torn_tail());
 
-  SectionReader cur = r.section("s");
+  SectionReader cur = r.reader("s");
   EXPECT_EQ(cur.u8(), 7u);
   EXPECT_EQ(cur.u32(), 0xDEADBEEFU);
   EXPECT_EQ(cur.u64(), 0x0123456789ABCDEFULL);
@@ -105,11 +146,17 @@ TEST(SnapshotFormat, RoundTripsSeedProvenanceAndSections) {
   EXPECT_TRUE(std::signbit(neg_zero));
   EXPECT_EQ(cur.str(), "hello");
   EXPECT_TRUE(cur.at_end());
-  EXPECT_TRUE(r.section("empty").at_end());
+  EXPECT_TRUE(r.reader("empty").at_end());
 }
 
 TEST(SnapshotFormat, EncodeIsDeterministic) {
-  EXPECT_EQ(reference_image(), reference_image());
+  EXPECT_EQ(reference_log().image, reference_log().image);
+  // Every frame boundary decodes to the writer's own state at that flush.
+  const ReferenceLog log = reference_log();
+  for (std::size_t k = 0; k < log.ends.size(); ++k)
+    EXPECT_EQ(SnapshotWriter::decode(log.image.substr(0, log.ends[k])).encode(),
+              log.states[k])
+        << "after flush " << k + 1;
 }
 
 TEST(SnapshotFormat, SectionLifecycle) {
@@ -125,11 +172,28 @@ TEST(SnapshotFormat, SectionLifecycle) {
   w.remove_section("never-existed");  // ignored
 }
 
+TEST(SnapshotFormat, FramesHoldOnlyWhatChanged) {
+  SnapshotWriter w(1, "p");
+  w.section("log").str("first");
+  w.section("state").u64(1);
+  w.mark_persisted();
+  const std::string idle = w.pending_frame();
+  EXPECT_EQ(idle.size(), 8u) << "an untouched log still gets one empty frame";
+  w.section("log").str("next");
+  const std::string appended = w.pending_frame();
+  EXPECT_EQ(appended.find("first"), std::string::npos);
+  EXPECT_NE(appended.find("next"), std::string::npos);
+  // A section created and dropped between two frames never reaches the log.
+  w.section("scratch").u8(1);
+  w.remove_section("scratch");
+  EXPECT_EQ(w.pending_frame(), appended);
+}
+
 TEST(SnapshotFormat, RejectsWrongMagic) {
-  std::string image = reference_image();
+  std::string image = reference_log().image;
   image[0] = 'X';
   try {
-    SnapshotReader r(image);
+    (void)SnapshotWriter::decode(image);
     FAIL() << "bad magic accepted";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.fault(), SnapshotFault::bad_magic);
@@ -137,42 +201,100 @@ TEST(SnapshotFormat, RejectsWrongMagic) {
 }
 
 TEST(SnapshotFormat, RejectsUnknownVersion) {
-  std::string image = reference_image();
-  image[8] = static_cast<char>(SnapshotReader::kFormatVersion + 1);
-  try {
-    SnapshotReader r(image);
-    FAIL() << "unknown version accepted";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.fault(), SnapshotFault::bad_version);
+  // Version 1 (the section-table format the log replaced) has no reader.
+  for (const std::uint32_t version : {1U, kFormatVersion + 1}) {
+    std::string image = reference_log().image;
+    image[8] = static_cast<char>(version);
+    try {
+      (void)SnapshotWriter::decode(image);
+      FAIL() << "version " << version << " accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.fault(), SnapshotFault::bad_version);
+    }
+  }
+}
+
+TEST(SnapshotFormat, CrcCleanFrameThatDoesNotParseIsMalformed) {
+  const std::string header = SnapshotWriter(1, "p").encode();
+  const auto frame = [](const std::string& body) {
+    SectionWriter w;
+    w.u32(static_cast<std::uint32_t>(body.size()));
+    w.u32(crc32(body));
+    w.raw(body);
+    return w.bytes();
+  };
+  SectionWriter unknown_op;
+  unknown_op.u8(7);
+  unknown_op.str("s");
+  SectionWriter short_bytes;
+  short_bytes.u8(0);  // append
+  short_bytes.str("s");
+  short_bytes.u32(100);  // declares 100 bytes, carries none
+  for (const std::string& body : {unknown_op.bytes(), short_bytes.bytes()}) {
+    try {
+      (void)SnapshotWriter::decode(header + frame(body));
+      FAIL() << "unparsable frame accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.fault(), SnapshotFault::malformed);
+    }
   }
 }
 
 TEST(SnapshotFormat, TruncationAtEveryByteOffsetIsDetected) {
-  const std::string image = reference_image();
-  for (std::size_t len = 0; len < image.size(); ++len) {
-    EXPECT_THROW(SnapshotReader(image.substr(0, len)), SnapshotError)
-        << "prefix of " << len << " bytes accepted";
+  // Inside the header a typed error; past it, exactly the state after the
+  // last whole frame, with any partial frame reported as a torn tail.
+  const ReferenceLog log = reference_log();
+  for (std::size_t len = 0; len <= log.image.size(); ++len) {
+    const std::string prefix = log.image.substr(0, len);
+    if (len < log.header_size) {
+      try {
+        (void)SnapshotWriter::decode(prefix);
+        ADD_FAILURE() << "header prefix of " << len << " bytes accepted";
+      } catch (const SnapshotError& e) {
+        EXPECT_EQ(e.fault(), SnapshotFault::truncated) << "len " << len;
+      }
+      continue;
+    }
+    std::size_t frames = 0;
+    while (frames < log.ends.size() && log.ends[frames] <= len) ++frames;
+    const std::size_t boundary =
+        frames == 0 ? log.header_size : log.ends[frames - 1];
+    const SnapshotWriter decoded = SnapshotWriter::decode(prefix);
+    EXPECT_EQ(decoded.encode(), state_after(log, frames)) << "len " << len;
+    EXPECT_EQ(decoded.torn_tail(), len != boundary) << "len " << len;
   }
-  EXPECT_NO_THROW(SnapshotReader{image});
-  // Trailing garbage is corruption too, not silently ignored.
-  EXPECT_THROW(SnapshotReader(image + "x"), SnapshotError);
 }
 
 TEST(SnapshotFormat, BitFlipAtEveryByteOffsetIsDetected) {
-  const std::string image = reference_image();
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    std::string mutated = image;
+  // In the header a typed error; in frame k, the state after frame k-1 and
+  // a torn tail.
+  const ReferenceLog log = reference_log();
+  for (std::size_t i = 0; i < log.image.size(); ++i) {
+    std::string mutated = log.image;
     mutated[i] = static_cast<char>(mutated[i] ^ 0x20);
-    EXPECT_THROW(SnapshotReader{mutated}, SnapshotError)
-        << "bit flip at byte " << i << " accepted";
+    if (i < log.header_size) {
+      try {
+        (void)SnapshotWriter::decode(mutated);
+        ADD_FAILURE() << "bit flip at header byte " << i << " accepted";
+      } catch (const SnapshotError& e) {
+        EXPECT_NE(e.fault(), SnapshotFault::io) << "byte " << i;
+        EXPECT_NE(e.fault(), SnapshotFault::malformed) << "byte " << i;
+      }
+      continue;
+    }
+    std::size_t frame = 0;
+    while (log.ends[frame] <= i) ++frame;
+    const SnapshotWriter decoded = SnapshotWriter::decode(mutated);
+    EXPECT_EQ(decoded.encode(), state_after(log, frame)) << "byte " << i;
+    EXPECT_TRUE(decoded.torn_tail()) << "byte " << i;
   }
 }
 
 TEST(SnapshotFormat, SectionReaderNeverReadsPastTheEnd) {
   SnapshotWriter w(1, "p");
   w.section("s").u32(5);
-  const SnapshotReader r(w.encode());
-  SectionReader cur = r.section("s");
+  const SnapshotWriter r = SnapshotWriter::decode(w.encode());
+  SectionReader cur = r.reader("s");
   EXPECT_EQ(cur.u32(), 5u);
   try {
     cur.u8();
@@ -183,15 +305,15 @@ TEST(SnapshotFormat, SectionReaderNeverReadsPastTheEnd) {
   // A length-prefixed string whose declared length exceeds the payload.
   SnapshotWriter w2(1, "p");
   w2.section("s").u32(1000);
-  const SnapshotReader r2(w2.encode());
-  SectionReader cur2 = r2.section("s");
+  const SnapshotWriter r2 = SnapshotWriter::decode(w2.encode());
+  SectionReader cur2 = r2.reader("s");
   EXPECT_THROW(cur2.str(), SnapshotError);
 }
 
 TEST(SnapshotFormat, MissingSectionIsATypedError) {
-  const SnapshotReader r(reference_image());
+  const SnapshotWriter r = SnapshotWriter::decode(reference_log().image);
   try {
-    r.section("nope");
+    r.reader("nope");
     FAIL() << "missing section returned";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.fault(), SnapshotFault::bad_section);
@@ -206,11 +328,14 @@ TEST(SnapshotFormat, AtomicWriteReplacesAndCleansUp) {
   EXPECT_EQ(read_file_bytes(file.path()), "second, longer than the first");
   // The staging file never survives a completed write.
   EXPECT_THROW(read_file_bytes(file.path() + ".tmp"), SnapshotError);
+  append_file_durable(file.path(), "+tail");
+  EXPECT_EQ(read_file_bytes(file.path()),
+            "second, longer than the first+tail");
 }
 
 TEST(SnapshotFormat, StrayTmpFromAKilledWriterIsHarmless) {
   TempSnapshot file("straytmp");
-  const std::string image = reference_image();
+  const std::string image = reference_log().image;
   write_file_atomic(file.path(), image);
   // A writer killed mid-write leaves a torn .tmp; the published path is
   // untouched and the next atomic write simply overwrites the leftovers.
@@ -237,52 +362,23 @@ TEST(StoreCodecs, BitVecRoundTripsAllSizes) {
 }
 
 TEST(StoreCodecs, DoublesRoundTripBitExactly) {
+  // Doubles travel as IEEE-754 bit patterns inside the linear-model codec:
+  // -0.0, the extremes and 0.1 come back bit for bit.
   const std::vector<double> values = {0.0, -0.0, 1.0, -1.5,
                                       1e-308, 1e308, 0.1};
+  const ml::LinearModel model(6, values, ml::parity_with_bias, "doubles");
   SectionWriter w;
-  store::put_doubles(w, values);
+  store::put_linear_model(w, model);
   SectionReader r(w.bytes(), "t");
-  const std::vector<double> back = store::get_doubles(r);
+  const std::vector<double> back =
+      store::get_linear_model(r, ml::parity_with_bias).weights();
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
               std::bit_cast<std::uint64_t>(values[i]))
         << "index " << i;
   }
-}
-
-TEST(StoreCodecs, RngRoundTripContinuesTheExactStream) {
-  Rng original(123);
-  (void)original.gaussian();  // populate the spare-gaussian cache
-  (void)original.uniform01();
-
-  SectionWriter w;
-  store::put_rng(w, original);
-  SectionReader r(w.bytes(), "t");
-  Rng restored(999);  // wrong seed, fully overwritten by restore
-  store::get_rng(r, restored);
-
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(original.gaussian()),
-              std::bit_cast<std::uint64_t>(restored.gaussian()));
-    EXPECT_EQ(original.uniform_below(1000), restored.uniform_below(1000));
-  }
-}
-
-TEST(StoreCodecs, CrpSetRoundTrips) {
-  Rng rng(5);
-  const puf::ArbiterPuf target(10, 0.0, rng);
-  const puf::CrpSet crps = puf::CrpSet::collect_uniform(target, 50, rng);
-
-  SectionWriter w;
-  store::put_crp_set(w, crps);
-  SectionReader r(w.bytes(), "t");
-  const puf::CrpSet back = store::get_crp_set(r);
-  ASSERT_EQ(back.size(), crps.size());
-  for (std::size_t i = 0; i < crps.size(); ++i) {
-    EXPECT_EQ(back.challenge(i), crps.challenge(i));
-    EXPECT_EQ(back.response(i), crps.response(i));
-  }
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(StoreCodecs, HypothesisClassesRoundTrip) {
@@ -298,6 +394,7 @@ TEST(StoreCodecs, HypothesisClassesRoundTrip) {
   EXPECT_EQ(model2.weights(), model.weights());
   EXPECT_EQ(model2.describe(), model.describe());
   EXPECT_EQ(model2.eval_pm(probe), model.eval_pm(probe));
+  EXPECT_TRUE(rm.at_end());
 
   const ml::SparseFourierHypothesis fourier(
       6, {make_bitvec(6, 1), make_bitvec(6, 2)}, {0.75, -0.5});
@@ -307,39 +404,6 @@ TEST(StoreCodecs, HypothesisClassesRoundTrip) {
   const ml::SparseFourierHypothesis fourier2 = store::get_sparse_fourier(rf);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(fourier2.approximation(probe)),
             std::bit_cast<std::uint64_t>(fourier.approximation(probe)));
-
-  const boolfn::Ltf ltf({1.0, -2.5, 0.5, 0.0, 3.0, -1.0}, 0.25);
-  SectionWriter wl;
-  store::put_ltf(wl, ltf);
-  SectionReader rl(wl.bytes(), "t");
-  EXPECT_EQ(store::get_ltf(rl).eval_pm(probe), ltf.eval_pm(probe));
-
-  const boolfn::AnfPolynomial anf(
-      6, {make_bitvec(6, 4), make_bitvec(6, 5), BitVec(6)});
-  SectionWriter wa;
-  store::put_anf(wa, anf);
-  SectionReader ra(wa.bytes(), "t");
-  EXPECT_EQ(store::get_anf(ra).eval_pm(probe), anf.eval_pm(probe));
-}
-
-TEST(StoreCodecs, DfaRoundTrips) {
-  circuit::Dfa dfa(3, 2, 0);
-  dfa.set_transition(0, 1, 1);
-  dfa.set_transition(1, 0, 2);
-  dfa.set_transition(2, 1, 0);
-  dfa.set_accepting(2, true);
-
-  SectionWriter w;
-  store::put_dfa(w, dfa);
-  SectionReader r(w.bytes(), "t");
-  const circuit::Dfa back = store::get_dfa(r);
-  EXPECT_EQ(back.num_states(), 3u);
-  EXPECT_EQ(back.start(), 0u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(back.accepting(s), dfa.accepting(s));
-    for (std::size_t c = 0; c < 2; ++c)
-      EXPECT_EQ(back.transition(s, c), dfa.transition(s, c));
-  }
 }
 
 TEST(StoreCodecs, FaultStateAndOutcomeRoundTrip) {
@@ -420,15 +484,16 @@ TEST(CheckpointSession, FlushThenResumeRestoresSections) {
 }
 
 TEST(CheckpointSession, CorruptSnapshotDegradesToCleanStart) {
+  // A damaged header leaves nothing to trust: clean start, counted.
   TempSnapshot file("corrupt");
   {
     store::CheckpointSession session(file.path(), 7, "p", true);
     session.section("s").u64(1);
     session.flush();
   }
-  // Flip a payload byte on disk (the section's CRC must catch it).
+  // Flip a seed byte on disk (the header CRC must catch it).
   std::string bytes = read_file_bytes(file.path());
-  bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+  bytes[12] = static_cast<char>(bytes[12] ^ 0x01);
   write_file_atomic(file.path(), bytes);
 
   const std::uint64_t corrupt0 = counter_value("store.snapshot.corrupt");
@@ -436,6 +501,138 @@ TEST(CheckpointSession, CorruptSnapshotDegradesToCleanStart) {
   EXPECT_FALSE(session.resumed());
   EXPECT_FALSE(session.has_section("s"));
   EXPECT_EQ(counter_value("store.snapshot.corrupt"), corrupt0 + 1);
+}
+
+TEST(CheckpointSession, CorruptLastFrameResumesFromTheFlushBefore) {
+  // A damaged last frame is a flush that never landed: the session resumes
+  // from the flushes before it, counts the loss once, and its first flush
+  // compacts the bad tail away.
+  TempSnapshot file("torn");
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    session.section("s").u64(1);
+    session.flush();
+    session.section("s").u64(2);
+    session.reset_section("t").u8(9);
+    session.flush();
+  }
+  std::string bytes = read_file_bytes(file.path());
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+  write_file_atomic(file.path(), bytes);
+
+  const std::uint64_t corrupt0 = counter_value("store.snapshot.corrupt");
+  const std::uint64_t loads0 = counter_value("store.snapshot.loads");
+  const std::uint64_t resumed0 = counter_value("store.snapshot.resumed");
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    ASSERT_TRUE(session.resumed());
+    SectionReader r = session.reader("s");
+    EXPECT_EQ(r.u64(), 1u);
+    EXPECT_TRUE(r.at_end());
+    EXPECT_FALSE(session.has_section("t"));
+    EXPECT_EQ(counter_value("store.snapshot.corrupt"), corrupt0 + 1);
+    EXPECT_EQ(counter_value("store.snapshot.loads"), loads0 + 1);
+    EXPECT_EQ(counter_value("store.snapshot.resumed"), resumed0 + 1);
+    session.flush();
+  }
+  const SnapshotWriter compacted =
+      SnapshotWriter::decode(read_file_bytes(file.path()));
+  EXPECT_FALSE(compacted.torn_tail());
+  EXPECT_EQ(compacted.section_names(), std::vector<std::string>{"s"});
+}
+
+TEST(CheckpointSession, FlushCostStaysFlatAsTheLogGrows) {
+  // Every flush appends the same 16-byte record, so the 500th flush writes
+  // exactly as many bytes as the 2nd: one frame with one append.
+  TempSnapshot file("flat");
+  store::CheckpointSession session(file.path(), 7, "p", false);
+  std::vector<std::uint64_t> written;
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    session.section("log").u64(i);
+    session.section("log").u64(~i);
+    const std::uint64_t before = counter_value("store.snapshot.bytes_written");
+    session.flush();
+    written.push_back(counter_value("store.snapshot.bytes_written") - before);
+  }
+  EXPECT_EQ(written[499], written[1]);
+  std::uint64_t total = 0;
+  for (const std::uint64_t bytes : written) total += bytes;
+  const std::string image = read_file_bytes(file.path());
+  EXPECT_EQ(image.size(), total);
+  EXPECT_EQ(SnapshotWriter::decode(image).reader("log").remaining(),
+            500u * 16u);
+}
+
+TEST(CheckpointSession, SeededHistoriesDecodeToTheLiveSectionSet) {
+  // 200 seeded histories of append / reset / remove / flush against a plain
+  // model of the section set: after every flush the file decodes to the
+  // model byte for byte. Some flushes end the session and resume it, so the
+  // next flush compacts a log that earlier sessions appended to.
+  TempSnapshot file("history");
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  std::size_t flushes = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed + 4000);
+    std::vector<std::pair<std::string, std::string>> model;
+    const auto find = [&](const std::string& name) {
+      return std::find_if(model.begin(), model.end(),
+                          [&](const auto& entry) { return entry.first == name; });
+    };
+    auto session =
+        std::make_unique<store::CheckpointSession>(file.path(), 7, "p", false);
+    for (int step = 0; step < 30; ++step) {
+      const std::string& name = names[rng.uniform_below(names.size())];
+      const std::string bytes(rng.uniform_below(6),
+                              static_cast<char>('a' + step % 26));
+      const auto it = find(name);
+      switch (rng.uniform_below(5)) {
+        case 0:
+        case 1:  // append
+          session->section(name).raw(bytes);
+          if (it == model.end()) {
+            model.emplace_back(name, bytes);
+          } else {
+            it->second += bytes;
+          }
+          break;
+        case 2:  // reset
+          session->reset_section(name).raw(bytes);
+          if (it == model.end()) {
+            model.emplace_back(name, bytes);
+          } else {
+            it->second = bytes;
+          }
+          break;
+        case 3:  // remove
+          session->remove_section(name);
+          if (it != model.end()) model.erase(it);
+          break;
+        default: {
+          session->flush();
+          ++flushes;
+          const SnapshotWriter decoded =
+              SnapshotWriter::decode(read_file_bytes(file.path()));
+          ASSERT_FALSE(decoded.torn_tail());
+          std::vector<std::string> model_names;
+          for (const auto& entry : model) model_names.push_back(entry.first);
+          ASSERT_EQ(decoded.section_names(), model_names)
+              << "seed " << seed << ", step " << step;
+          for (const auto& [section, content] : model) {
+            SectionReader r = decoded.reader(section);
+            EXPECT_EQ(r.raw(r.remaining()), content)
+                << "seed " << seed << ", step " << step << ", " << section;
+          }
+          if (rng.coin()) {
+            session.reset();
+            session = std::make_unique<store::CheckpointSession>(
+                file.path(), 7, "p", true);
+            ASSERT_TRUE(session->resumed());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(flushes, 1000u);
 }
 
 TEST(CheckpointSession, IdentityMismatchStartsCleanWithoutCorruptFlag) {
@@ -831,6 +1028,78 @@ TEST(ResumeDeterminism, LearnerRerunFromJournalIsByteIdentical) {
   EXPECT_EQ(outcome_bytes(replayed, put), outcome_bytes(plain, put));
   EXPECT_EQ(physical_replayed, 0u)
       << "resume re-queried the physical oracle";
+}
+
+TEST(ResumeDeterminism, TornLastFrameResumesFromThePreviousFlush) {
+  // A crash between a frame's append and its fsync can leave any prefix of
+  // that frame on disk. Cut the learner's log inside its last frame: the
+  // rerun resumes from the previous flush (journal and fault-channel
+  // position land in one frame, so together), replays it for free, asks the
+  // physical oracle only for the rest, and ends byte-identical.
+  TempSnapshot file("torn_learner");
+  Rng setup(7);
+  const puf::ArbiterPuf target(10, 0.0, setup);
+  FaultConfig fc;
+  fc.flip_rate = 0.1;
+  fc.query_budget = 900;
+  RobustLearnConfig config;
+  config.train_queries = 600;
+  config.holdout_queries = 120;
+
+  struct Run {
+    LearnOutcome<ml::LinearModel> outcome;
+    std::size_t physical = 0;
+    std::size_t replayed = 0;
+  };
+  const auto run_once = [&](store::CheckpointSession* session) {
+    ml::FunctionMembershipOracle inner(target);
+    FaultyMembershipOracle faulty(inner, fc, 31337);
+    Rng rng(41);
+    Run run;
+    if (session == nullptr) {
+      run.outcome = robust_perceptron(faulty, ml::parity_with_bias, config, rng);
+    } else {
+      store::RecordingOracle journal(faulty, *session, "cell.log", &faulty, 64);
+      run.outcome = robust_perceptron(journal, ml::parity_with_bias, config, rng);
+      journal.flush_now();
+      run.replayed = journal.replayed_queries();
+    }
+    run.physical = inner.queries();
+    return run;
+  };
+  const auto put = [](SectionWriter& w, const ml::LinearModel& m) {
+    store::put_linear_model(w, m);
+  };
+
+  const Run plain = run_once(nullptr);
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    (void)run_once(&session);
+  }
+
+  // Walk the frames and cut the file halfway into the last one.
+  const std::string image = read_file_bytes(file.path());
+  SectionReader frames(image, "log");
+  (void)frames.raw(SnapshotWriter(7, "p").encode().size() - 8);  // header
+  std::size_t last_start = 0;
+  std::size_t last_size = 0;
+  while (!frames.at_end()) {
+    last_start = image.size() - frames.remaining();
+    last_size = 8 + frames.u32();
+    (void)frames.raw(last_size - 4);
+  }
+  write_file_atomic(file.path(), image.substr(0, last_start + last_size / 2));
+
+  const std::uint64_t corrupt0 = counter_value("store.snapshot.corrupt");
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  ASSERT_TRUE(session.resumed());
+  EXPECT_EQ(counter_value("store.snapshot.corrupt"), corrupt0 + 1);
+  const Run resumed = run_once(&session);
+  EXPECT_EQ(outcome_bytes(resumed.outcome, put), outcome_bytes(plain.outcome, put));
+  EXPECT_GT(resumed.replayed, 0u);
+  EXPECT_GT(resumed.physical, 0u) << "the cut frame's queries must rerun live";
+  EXPECT_EQ(resumed.replayed + resumed.physical, plain.physical)
+      << "resume re-queried a journaled interaction";
 }
 
 TEST(ResumeDeterminism, SatAttackRerunFromJournalMatches) {

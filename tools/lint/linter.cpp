@@ -430,7 +430,7 @@ void check_raw_io(const FileView& view, std::vector<Violation>& out) {
       emit(view, i, "raw-io",
            "raw file I/O outside src/support/snapshot and src/obs; "
            "experiment state must flow through the crash-safe snapshot "
-           "format (support::snapshot — atomic rename + CRC) so a crash "
+           "format (support::snapshot — a log of CRC'd frames) so a crash "
            "can never leave a torn artefact (annotate an audited "
            "exception with // lint:raw-io-ok)",
            out);
