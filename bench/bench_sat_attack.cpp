@@ -136,15 +136,13 @@ int main(int argc, char** argv) {
       const AttackCell outcome = store::checkpointed_unit<AttackCell>(
           session.get(), cell,
           [&] {
-            CircuitOracle oracle =
-                CircuitOracle::from_netlist(workload.netlist);
-            store::AttackObservationJournal journal(session.get(),
+            CircuitOracle live = CircuitOracle::from_netlist(workload.netlist);
+            store::AttackObservationJournal journal(live, session.get(),
                                                     cell + ".log");
-            attack::SatAttackConfig config = attack_config;
-            config.journal = &journal;
             core::Stopwatch watch;
             AttackCell out;
-            out.result = attack::sat_attack(locked, oracle, config);
+            out.result =
+                attack::sat_attack(locked, journal.oracle(), attack_config);
             out.seconds = watch.seconds();
             out.exact = out.result.success &&
                         attack::keys_equivalent(workload.netlist, locked,

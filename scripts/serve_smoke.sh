@@ -22,8 +22,10 @@
 #      committed under tests/golden/serve byte for byte, so the outcome
 #      values themselves are pinned, not only their stability
 #   6. hostile lines through stdin's buffered reads: a 2 MB balanced nested
-#      run line, a 1 MB line with an unterminated string, then one auth job
-#      must give a clean exit, one error line and the job's outcome
+#      run line, a 1 MB line with an unterminated string, three jobs over a
+#      work cap (attack budget, attack eval and auth rounds at 2^53), then
+#      one auth job must give a clean exit, four error lines and the job's
+#      outcome
 #
 # Usage: serve_smoke.sh <build_dir> [work_dir]
 # Exits 0 when every leg passes, 1 on a failure, 2 on usage errors, and 77
@@ -251,7 +253,7 @@ check_golden "$work/lockdown.out" lockdown.out
 check_golden "$work/continue.out" continue.out
 
 # --- 6. hostile lines ----------------------------------------------------
-echo "== hostile lines: 2 MB nested run, 1 MB unterminated string =="
+echo "== hostile lines: 2 MB nested run, 1 MB unterminated string, over-cap jobs =="
 python3 - "$work/hostile.txt" <<'EOF'
 import sys
 
@@ -259,6 +261,13 @@ depth = 1000000  # a million nested arrays: 2 MB of brackets
 with open(sys.argv[1], "w") as out:
     out.write('{"type":"run","x":' + "[" * depth + "]" * depth + "}\n")
     out.write('{"type":"job","id":"h0","x":"' + "0" * 1000000 + "\n")
+    huge = 2 ** 53  # a cap refuses each before anything reserves its work
+    out.write('{"type":"job","id":"c1","kind":"attack","token":4,"seed":3,'
+              '"budget":%d,"eval":8}\n' % huge)
+    out.write('{"type":"job","id":"c2","kind":"attack","token":4,"seed":3,'
+              '"budget":8,"eval":%d}\n' % huge)
+    out.write('{"type":"job","id":"c3","kind":"auth","token":4,"seed":3,'
+              '"rounds":%d}\n' % huge)
     out.write('{"type":"job","id":"h1","kind":"auth","token":4,"seed":3,'
               '"rounds":8}\n')
     out.write('{"type":"drain"}\n')
@@ -267,7 +276,7 @@ if ! "$served" --tokens 1000000 --seed 42 \
     < "$work/hostile.txt" > "$work/hostile.out"; then
   echo "serve_smoke: daemon failed on the hostile lines" >&2
   status=1
-elif ! $check "$work/hostile.out" --allow-errors 1 --expect-outcomes 1; then
+elif ! $check "$work/hostile.out" --allow-errors 4 --expect-outcomes 1; then
   echo "serve_smoke: hostile-line stream failed schema validation" >&2
   status=1
 fi

@@ -7,6 +7,12 @@
 // Rivest [2] that Section IV builds on: AppSAT is a uniform-distribution
 // approximate learner, while the full SAT attack is an exact learner with
 // membership queries.
+//
+// Both attacks grow the same key miter, so they differ only in when they
+// stop asking for DIPs. The settle phase draws its random inputs from the
+// caller's rng; re-seeded identically, a rerun asks the oracle the same
+// questions in the same order, which is what lets a store-layer oracle
+// decorator resume it byte for byte.
 #pragma once
 
 #include "attack/sat_attack.hpp"
@@ -25,19 +31,6 @@ struct AppSatConfig {
   /// Diversified CDCL workers racing every solver query (1 = inline
   /// solver, no parallel region); deterministic for any PITFALLS_THREADS.
   std::size_t portfolio_workers = 1;
-  /// Conflict budget of the portfolio's first race round.
-  std::uint64_t portfolio_round_conflicts = 2048;
-  /// Base solver configuration; portfolio worker 0 runs it verbatim.
-  sat::SolverConfig solver;
-
-  /// Optional replay-or-record log for the oracle traffic, same contract as
-  /// SatAttackConfig::journal: the log holds every oracle observation (DIP
-  /// and settle-phase queries interleaved in call order); resume replays it
-  /// against the re-run deterministic computation (the settle phase's
-  /// random inputs come from the caller's rng, re-seeded identically), so a
-  /// resumed run is byte-identical and only new observations touch the
-  /// oracle.
-  ObservationLog* journal = nullptr;
 };
 
 struct AppSatResult {
@@ -46,8 +39,7 @@ struct AppSatResult {
   bool settled = false;           // stopped via the error threshold
   double estimated_error = 1.0;   // from the last settle phase
   std::size_t dip_iterations = 0;
-  std::size_t oracle_queries = 0;  // incl. replayed (resume)
-  std::size_t replayed_queries = 0;  // served from a checkpoint journal
+  std::size_t oracle_queries = 0;  // DIP and settle queries asked of `oracle`
   std::size_t rounds = 0;
 };
 

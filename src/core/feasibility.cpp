@@ -17,8 +17,6 @@ LmnFeasibilityReport estimate_lmn_feasibility(
   PITFALLS_REQUIRE(config.samples_per_probe > 0, "need probe samples");
   PITFALLS_REQUIRE(config.attack_eps > 0.0 && config.attack_eps < 1.0,
                    "attack eps must be in (0,1)");
-  PITFALLS_REQUIRE(config.attack_delta > 0.0 && config.attack_delta < 1.0,
-                   "attack delta must be in (0,1)");
   PITFALLS_REQUIRE(budget > 0, "need a positive budget");
 
   LmnFeasibilityReport report;
@@ -37,10 +35,10 @@ LmnFeasibilityReport estimate_lmn_feasibility(
   report.degree_cutoff = 2.32 * report.effective_k * report.effective_k /
                          (config.attack_eps * config.attack_eps);
 
+  constexpr double kAttackDelta = 0.01;
   const double n = static_cast<double>(target.num_vars());
-  const double log_bound =
-      report.degree_cutoff * std::log(n) +
-      std::log(std::log(1.0 / config.attack_delta));
+  const double log_bound = report.degree_cutoff * std::log(n) +
+                           std::log(std::log(1.0 / kAttackDelta));
   report.sample_bound = log_bound > 700.0
                             ? std::numeric_limits<double>::infinity()
                             : std::exp(log_bound);

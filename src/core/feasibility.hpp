@@ -23,9 +23,9 @@ struct LmnFeasibilityConfig {
   std::vector<double> probe_eps{0.01, 0.02, 0.05};
   /// Samples per NS probe.
   std::size_t samples_per_probe = 20000;
-  /// Target accuracy/confidence of the hypothetical LMN attack.
+  /// Target accuracy of the hypothetical LMN attack (its confidence is
+  /// fixed at delta = 0.01).
   double attack_eps = 0.25;
-  double attack_delta = 0.01;
 };
 
 struct LmnFeasibilityReport {
@@ -35,7 +35,8 @@ struct LmnFeasibilityReport {
   double effective_k = 0.0;
   /// Degree cutoff m = 2.32 khat^2 / attack_eps^2 (Corollary 1's formula).
   double degree_cutoff = 0.0;
-  /// Implied sample bound n^m ln(1/delta) (inf when astronomically large).
+  /// Implied sample bound n^m ln(1/delta), delta = 0.01 (inf when
+  /// astronomically large).
   double sample_bound = 0.0;
   /// Number of low-degree coefficients an LMN run would estimate
   /// (saturates at UINT64_MAX).

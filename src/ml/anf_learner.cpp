@@ -36,6 +36,9 @@ AnfLearnResult learn_anf_bounded_degree(MembershipOracle& oracle,
 
 namespace {
 
+/// Safety cap on the monomials a sparse-polynomial hypothesis collects.
+constexpr std::size_t kMaxTerms = 100000;
+
 /// g = target XOR hypothesis, evaluated with one membership query.
 bool residual(MembershipOracle& mq, const boolfn::AnfPolynomial& h,
               const BitVec& x) {
@@ -125,7 +128,7 @@ SparsePolyResult SparsePolyLearner::learn(MembershipOracle& mq,
       ++added;
     }
     PITFALLS_ENSURE(added > 0, "downset of a true point held no monomial");
-    PITFALLS_REQUIRE(h.sparsity() <= config_.max_terms,
+    PITFALLS_REQUIRE(h.sparsity() <= kMaxTerms,
                      "hypothesis exceeded the term cap");
   }
 

@@ -43,8 +43,6 @@ struct SparsePolyConfig {
   /// Try removing groups of up to this many bits during descent (1 = single
   /// bits; >=2 also escapes parity-style local minima).
   std::size_t descent_group_size = 2;
-  /// Safety cap on discovered monomials.
-  std::size_t max_terms = 100000;
 };
 
 struct SparsePolyResult {

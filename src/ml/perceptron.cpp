@@ -41,8 +41,7 @@ PerceptronResult Perceptron::fit(const std::vector<std::vector<double>>& X,
       double score = 0.0;
       for (std::size_t j = 0; j < dim; ++j) score += w[j] * x[j];
       if (static_cast<double>(y[index]) * score <= config_.margin) {
-        const double step =
-            config_.learning_rate * static_cast<double>(y[index]);
+        const double step = static_cast<double>(y[index]);
         for (std::size_t j = 0; j < dim; ++j) w[j] += step * x[j];
         ++epoch_mistakes;
       }

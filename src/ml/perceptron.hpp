@@ -21,7 +21,6 @@ struct PerceptronConfig {
   std::size_t max_epochs = 64;
   bool averaged = false;
   double margin = 0.0;           // update when y * score <= margin
-  double learning_rate = 1.0;
   bool shuffle_each_epoch = true;
 };
 

@@ -44,13 +44,11 @@ MajorityVoteOracle::MajorityVoteOracle(MembershipOracle& inner,
                                        const MajorityVoteConfig& config)
     : inner_(&inner),
       config_(config),
-      votes_per_query_(std::min(
+      votes_per_query_(std::min<std::size_t>(
           chernoff_votes(config.assumed_flip_rate, config.confidence),
-          config.max_votes | 1)),
+          10001)),
       vote_counter_(
-          &obs::MetricsRegistry::global().counter("robust.vote.votes")) {
-  PITFALLS_REQUIRE(config.max_votes > 0, "max_votes must be > 0");
-}
+          &obs::MetricsRegistry::global().counter("robust.vote.votes")) {}
 
 std::size_t MajorityVoteOracle::num_vars() const {
   return inner_->num_vars();

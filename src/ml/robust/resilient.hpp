@@ -44,15 +44,13 @@ struct MajorityVoteConfig {
   double assumed_flip_rate = 0.1;
   /// Target probability that a logical answer is correct.
   double confidence = 0.99;
-  /// Hard cap on votes per logical query (applied after Chernoff sizing).
-  std::size_t max_votes = 10001;
   RetryPolicy retry{};
 };
 
-/// Decorator answering each logical query by Chernoff-sized majority vote
-/// over the inner (presumably faulty) oracle. Logical queries are counted
-/// on this oracle; physical queries on the inner one. Vote counts land in
-/// the `robust.vote.*` metrics.
+/// Decorator answering each logical query by Chernoff-sized majority vote,
+/// capped at 10001 votes, over the inner (presumably faulty) oracle.
+/// Logical queries are counted on this oracle; physical queries on the
+/// inner one. Vote counts land in the `robust.vote.*` metrics.
 class MajorityVoteOracle final : public MembershipOracle {
  public:
   MajorityVoteOracle(MembershipOracle& inner, const MajorityVoteConfig& config);

@@ -36,8 +36,6 @@ BistableRingConfig BistableRingConfig::paper_instance(std::size_t bits) {
     cfg.nonlinear_share = 0.50;
     cfg.noise_sigma = 1.4;
   }
-  cfg.pair_terms = 2 * bits;
-  cfg.triple_terms = bits;
   return cfg;
 }
 
@@ -49,8 +47,6 @@ BistableRingPuf::BistableRingPuf(const BistableRingConfig& config,
                        config.nonlinear_share < 1.0,
                    "nonlinear share must be in [0,1)");
   PITFALLS_REQUIRE(config.noise_sigma >= 0.0, "noise sigma must be >= 0");
-  if (config_.pair_terms == 0) config_.pair_terms = 2 * config.bits;
-  if (config_.triple_terms == 0) config_.triple_terms = config.bits;
 
   for (auto& w : linear_) w = rng.gaussian();
 
@@ -67,9 +63,9 @@ BistableRingPuf::BistableRingPuf(const BistableRingConfig& config,
     } while (!seen.insert(vars).second);
     return vars;
   };
-  for (std::size_t t = 0; t < config_.pair_terms; ++t)
+  for (std::size_t t = 0; t < 2 * n; ++t)
     interactions_.push_back({sample_support(2), rng.gaussian()});
-  for (std::size_t t = 0; t < config_.triple_terms; ++t)
+  for (std::size_t t = 0; t < n; ++t)
     interactions_.push_back({sample_support(3), rng.gaussian()});
 
   // Normalise the variance split: with x_i = +/-1 uniform, each term w * m(x)

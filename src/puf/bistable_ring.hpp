@@ -25,12 +25,9 @@ namespace pitfalls::puf {
 struct BistableRingConfig {
   std::size_t bits = 16;
   /// Fraction of the response-polynomial variance carried by the
-  /// degree-2/3 interaction terms; 0 gives an exact LTF.
+  /// interaction terms (2*bits random degree-2 and bits random degree-3
+  /// supports); 0 gives an exact LTF.
   double nonlinear_share = 0.3;
-  /// Number of random degree-2 interaction terms (0 = use 2*bits).
-  std::size_t pair_terms = 0;
-  /// Number of random degree-3 interaction terms (0 = use bits).
-  std::size_t triple_terms = 0;
   /// Per-evaluation Gaussian margin noise (attribute noise).
   double noise_sigma = 0.0;
 

@@ -10,9 +10,10 @@
 //                     bit 31 deleted
 //   [2..2+size)       literals (Lit::index() encoding)
 //
-// Deletion is lazy: reduce-DB marks clauses deleted and watch lists drop
-// them on their next visit. The solver compacts the arena (collect())
-// only at decision level 0, remapping every live reference it holds.
+// Deletion marks a clause in place: reduce-DB sets its deleted bit and
+// erases its watchers at once, so propagation never visits a dead clause.
+// The solver compacts the arena (collect()) only at decision level 0,
+// remapping every live reference it holds.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +64,7 @@ class ClauseArena {
     words_[c + 1] = (words_[c + 1] & ~kLbdMask) | lbd;
   }
 
-  /// Lazy delete: the clause stays in place until the next collect().
+  /// Mark deleted: the words stay in place until the next collect().
   void mark_deleted(ClauseRef c) {
     PITFALLS_ENSURE(!deleted(c), "double clause deletion");
     words_[c + 1] |= kDeletedBit;

@@ -33,11 +33,12 @@ struct PortfolioMetrics {
 
 }  // namespace
 
-SolverConfig diversified_config(const PortfolioConfig& config, std::size_t w) {
-  SolverConfig c = config.base;
+SolverConfig diversified_config(std::size_t w) {
+  constexpr std::uint64_t kPortfolioSeed = 0x7e1f0110ULL;
+  SolverConfig c;
   // Every worker gets its own random-decision stream seed regardless of
   // diversification, so enabling random decisions later stays decorrelated.
-  c.seed = splitmix64_mix(config.seed +
+  c.seed = splitmix64_mix(kPortfolioSeed +
                           0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(w) + 1));
   if (w == 0) return c;  // reference configuration
 
@@ -61,7 +62,7 @@ PortfolioSolver::PortfolioSolver(PortfolioConfig config)
                    "round budget must be positive");
   workers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w)
-    workers_.emplace_back(diversified_config(config_, w));
+    workers_.emplace_back(diversified_config(w));
 }
 
 Var PortfolioSolver::new_var() {

@@ -25,18 +25,15 @@ namespace pitfalls::sat {
 struct PortfolioConfig {
   /// Worker count. Fixed by the caller — NEVER derived from the pool size.
   std::size_t workers = 1;
-  /// Diversification seed; worker w's config derives from (seed, w).
-  std::uint64_t seed = 0x7e1f0110ULL;
   /// Conflict budget of round 0; round r gets base << min(r, 14).
   std::uint64_t round_base_conflicts = 2048;
-  /// Baseline configuration; worker 0 runs it verbatim.
-  SolverConfig base;
 };
 
-/// Derive worker w's configuration: worker 0 is the reference config, the
-/// others perturb polarity, decay, restart cadence and random-decision
-/// noise as a pure function of (config.seed, w).
-SolverConfig diversified_config(const PortfolioConfig& config, std::size_t w);
+/// Derive worker w's configuration: worker 0 runs the default SolverConfig
+/// verbatim, the others perturb polarity, decay, restart cadence and
+/// random-decision noise as a pure function of w. Every worker's
+/// random-decision seed derives from w and one fixed portfolio seed.
+SolverConfig diversified_config(std::size_t w);
 
 class PortfolioSolver : public ClauseSink {
  public:

@@ -302,14 +302,12 @@ ClauseRef Solver::propagate() {
       std::size_t keep = 0;
       for (std::size_t i = 0; i < watch_list.size(); ++i) {
         const BinaryWatcher w = watch_list[i];
-        if (arena_.deleted(w.clause_ref)) continue;  // dropped lazily
         watch_list[keep++] = w;
         const std::uint8_t v = value_of(w.other);
         if (v == 1) continue;
         if (v == 0) {
           for (std::size_t j = i + 1; j < watch_list.size(); ++j)
-            if (!arena_.deleted(watch_list[j].clause_ref))
-              watch_list[keep++] = watch_list[j];
+            watch_list[keep++] = watch_list[j];
           watch_list.resize(keep);
           propagate_head_ = trail_.size();
           return w.clause_ref;
@@ -324,7 +322,6 @@ ClauseRef Solver::propagate() {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < watch_list.size(); ++i) {
       const Watcher w = watch_list[i];
-      if (arena_.deleted(w.clause_ref)) continue;  // dropped lazily
       if (value_of(w.blocker) == 1) {
         watch_list[keep++] = w;  // clause satisfied; arena untouched
         continue;
@@ -356,8 +353,7 @@ ClauseRef Solver::propagate() {
       if (value_of(first) == 0) {
         // Conflict: restore the remaining watchers and report.
         for (std::size_t j = i + 1; j < watch_list.size(); ++j)
-          if (!arena_.deleted(watch_list[j].clause_ref))
-            watch_list[keep++] = watch_list[j];
+          watch_list[keep++] = watch_list[j];
         watch_list.resize(keep);
         propagate_head_ = trail_.size();
         return c;
@@ -581,6 +577,12 @@ void Solver::reduce_db() {
   }
   std::erase_if(learned_refs_,
                 [this](ClauseRef ref) { return arena_.deleted(ref); });
+  // Drop the victims' watchers now, keeping the order of the rest, so
+  // propagate never meets a deleted clause. Victims are never binary.
+  for (auto& list : watches_)
+    std::erase_if(list, [this](const Watcher& w) {
+      return arena_.deleted(w.clause_ref);
+    });
 
   // Always-on safety net: a reason clause must never be deleted — a deleted
   // reason would break every later conflict analysis through it.

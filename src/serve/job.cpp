@@ -163,6 +163,16 @@ std::uint64_t u64_field(const Member& value, std::string_view name) {
   return as_u64(required(value, name), name);
 }
 
+/// A required work field, refused past its per-job cap.
+std::size_t capped_field(const Member& value, std::string_view name,
+                         std::size_t cap) {
+  const std::uint64_t number = u64_field(value, name);
+  PITFALLS_REQUIRE(number <= cap, "job field \"" + std::string(name) +
+                                      "\" exceeds its cap of " +
+                                      std::to_string(cap));
+  return static_cast<std::size_t>(number);
+}
+
 std::uint64_t u64_or(const Member& value, std::string_view name,
                      std::uint64_t fallback) {
   return value.present() ? as_u64(value, name) : fallback;
@@ -223,15 +233,13 @@ JobSpec job_spec(RequestFields& fields) {
 
   switch (spec.kind) {
     case JobKind::kAuth: {
-      spec.rounds =
-          static_cast<std::size_t>(u64_field(fields.rounds, "rounds"));
+      spec.rounds = capped_field(fields.rounds, "rounds", kMaxAuthRounds);
       PITFALLS_REQUIRE(spec.rounds > 0, "auth job needs rounds > 0");
       break;
     }
     case JobKind::kAttack: {
-      spec.budget =
-          static_cast<std::size_t>(u64_field(fields.budget, "budget"));
-      spec.eval = static_cast<std::size_t>(u64_field(fields.eval, "eval"));
+      spec.budget = capped_field(fields.budget, "budget", kMaxAttackBudget);
+      spec.eval = capped_field(fields.eval, "eval", kMaxAttackEval);
       PITFALLS_REQUIRE(spec.budget > 0, "attack job needs budget > 0");
       PITFALLS_REQUIRE(spec.eval > 0, "attack job needs eval > 0");
       if (fields.policy.present()) {

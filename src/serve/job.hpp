@@ -36,6 +36,13 @@ enum class JobKind { kAuth, kAttack, kQuery };
 
 const char* to_string(JobKind kind);
 
+/// Per-job work caps, checked at decode: a job over one is refused with a
+/// spec error, so no job runs or reserves more than this. Each is at least
+/// 4x the largest value any in-repo client sends.
+inline constexpr std::size_t kMaxAuthRounds = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxAttackBudget = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxAttackEval = std::size_t{1} << 16;
+
 struct JobSpec {
   std::string id;
   JobKind kind = JobKind::kQuery;
@@ -45,11 +52,11 @@ struct JobSpec {
   std::uint64_t seed = 0;
 
   // auth
-  std::size_t rounds = 0;
+  std::size_t rounds = 0;  // at most kMaxAuthRounds
 
   // attack
-  std::size_t budget = 0;  // training CRPs to collect
-  std::size_t eval = 0;    // fresh CRPs the hypothesis is scored on
+  std::size_t budget = 0;  // training CRPs to collect, <= kMaxAttackBudget
+  std::size_t eval = 0;    // fresh CRPs scored on, <= kMaxAttackEval
   /// Per-job oracle policy: the §9 fault channel between the attacker and
   /// the token (eta, bursts, drops, lifetime query budget). decode_request()
   /// refuses any config ml::robust::validate refuses.
@@ -77,7 +84,8 @@ struct WireRequest {
   /// Type "job" only: the spec, meaningful when `refusal` is empty.
   JobSpec job;
   /// Type "job" only: why the spec was refused (a missing, ill-typed or
-  /// out-of-range field, or a fault policy ml::robust::validate refuses).
+  /// out-of-range field, a work field over its cap, or a fault policy
+  /// ml::robust::validate refuses).
   std::string refusal;
 };
 

@@ -109,7 +109,7 @@ class CheckpointSession {
 };
 
 /// Book one replay-served query into store.snapshot.replayed_queries
-/// (shared by RecordingOracle and the attack-side observation journals).
+/// (shared by RecordingOracle and AttackObservationJournal).
 void note_replayed_query();
 
 /// Book a divergence into store.snapshot.divergence and throw

@@ -3,8 +3,8 @@
 // re-materialization determinism, malformed-request rejection, cooperative
 // termination drain, journaled-outcome resume, the budget-refill
 // continuation contract (replayed queries charge nothing), million-deep
-// request lines, and the one-pass wire decode against the DOM path it
-// replaced.
+// request lines, per-job work caps, and the one-pass wire decode against
+// the DOM path it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -464,6 +464,55 @@ TEST(ServeDaemon, MalformedRequestsAreRejectedWithErrorLines) {
   for (const char* check : {"flip rate", "drop rate", "burst length"})
     EXPECT_NE(run.joined.find(check), std::string::npos) << check;
   EXPECT_EQ(u64_of(run.lines.back(), "jobs"), 2u);
+}
+
+// A job over a work cap is refused at decode, before anything reserves or
+// runs its work, and the rest of its wave runs.
+TEST(ServeDaemon, JobsOverAWorkCapGetErrorLinesAndTheWaveRuns) {
+  PoolSizeGuard guard;
+  const std::uint64_t huge = std::uint64_t{1} << 53;
+  const std::vector<std::string> input = {
+      attack_job("x_budget", 12, 3, huge, 8, ""),
+      attack_job("x_eval", 12, 3, 8, huge, ""),
+      auth_job("a_rounds", 7, 5, huge),
+      auth_job("a_ok", 7, 5, 16),
+      kDrain,
+  };
+
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  support::set_pool_thread_count(1);
+  const std::uint64_t errors0 = counter_value("serve.wire.errors");
+  const ServeRun reference = run_daemon(config, input);
+  ASSERT_EQ(reference.status, 0);
+  EXPECT_EQ(counter_value("serve.wire.errors"), errors0 + 3);
+  EXPECT_EQ(count_type(reference.lines, "error"), 3u);
+  EXPECT_EQ(count_type(reference.lines, "ack"), 1u);
+  EXPECT_EQ(count_type(reference.lines, "outcome"), 1u);
+  EXPECT_FALSE(find_line(reference.lines, "outcome", "a_ok").empty());
+  for (const char* id : {"x_budget", "x_eval", "a_rounds"})
+    EXPECT_TRUE(find_line(reference.lines, "ack", id).empty()) << id;
+  const std::vector<std::string> expected = {
+      "job field \"budget\" exceeds its cap of " +
+          std::to_string(serve::kMaxAttackBudget),
+      "job field \"eval\" exceeds its cap of " +
+          std::to_string(serve::kMaxAttackEval),
+      "job field \"rounds\" exceeds its cap of " +
+          std::to_string(serve::kMaxAuthRounds)};
+  std::vector<std::string> messages;
+  for (const std::string& line : reference.lines)
+    if (type_of(obs::JsonValue::parse(line)) == "error")
+      messages.push_back(str_of(line, "message"));
+  ASSERT_EQ(messages.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_NE(messages[i].find(expected[i]), std::string::npos) << messages[i];
+
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    support::set_pool_thread_count(threads);
+    const ServeRun run = run_daemon(config, input);
+    EXPECT_EQ(run.status, 0);
+    EXPECT_EQ(run.joined, reference.joined) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------- termination and resume
@@ -1062,6 +1111,7 @@ serve::JobSpec parse_job(const obs::JsonValue& request) {
 struct Decoded {
   bool counted = false;  // serve.wire.requests counts the line
   bool refused = false;  // an error line: grammar, type or job spec
+  bool capped = false;   // refused only for a work field over its cap
   std::string type;
   serve::JobSpec job;  // accepted "job" lines
 };
@@ -1088,6 +1138,14 @@ Decoded reference_decode(const std::string& line) {
       out.job = reference::parse_job(request);
     } catch (const std::exception&) {
       out.refused = true;
+    }
+    // The per-job work caps, on top of the DOM path's decision.
+    if (!out.refused && (out.job.rounds > serve::kMaxAuthRounds ||
+                         out.job.budget > serve::kMaxAttackBudget ||
+                         out.job.eval > serve::kMaxAttackEval)) {
+      out.refused = true;
+      out.capped = true;
+      out.job = {};
     }
   } else {
     out.refused = out.type != "run" && out.type != "drain";
@@ -1385,6 +1443,7 @@ TEST(WireDecode, MutantsMatchTheDomPathLineForLine) {
   std::vector<Decoded> expected;
   std::size_t mutants = 0;
   std::size_t accepted_jobs = 0;
+  std::size_t capped_jobs = 0;
   std::size_t dom_failures = 0;
   for (; mutants < 20000; ++mutants) {
     std::string line = mutator.mutant(seeds);
@@ -1401,6 +1460,7 @@ TEST(WireDecode, MutantsMatchTheDomPathLineForLine) {
     ASSERT_EQ(got.type, want.type) << line;
     ASSERT_EQ(got.job.canonical(), want.job.canonical()) << line;
     if (want.type == "job" && !want.refused) ++accepted_jobs;
+    if (want.capped) ++capped_jobs;
 
     bool old_threw = false;
     bool new_threw = false;
@@ -1420,19 +1480,14 @@ TEST(WireDecode, MutantsMatchTheDomPathLineForLine) {
     if (old_threw) ++dom_failures;
     ASSERT_TRUE(same_dom(new_dom, old_dom)) << line;
 
-    // The daemon bounds no job's work, so a job it would accept with up to
-    // 2^53 rounds or CRPs is decoded above but not run below.
-    const serve::JobSpec& job = want.job;
-    if (job.rounds > 10000 || job.budget > 10000 || job.eval > 10000)
-      continue;
     lines.push_back(std::move(line));
     expected.push_back(std::move(want));
   }
   // The loop reaches both sides of every decision.
   EXPECT_GT(accepted_jobs, 2000u);
+  EXPECT_GT(capped_jobs, 0u);
   EXPECT_GT(dom_failures, 2000u);
   EXPECT_LT(dom_failures, mutants - 2000);
-  EXPECT_GT(lines.size(), mutants - 100);
 
   // The daemon itself, line for line: a drain ends one daemon and the next
   // line goes to a fresh one, as a restarted service would see it.

@@ -273,14 +273,13 @@ TEST(SolverStats, LearningAndMinimisationAreObservable) {
 // ------------------------------------------------------------ portfolio
 
 TEST(Portfolio, DiversifiedConfigsAreAPureFunctionOfWorkerIndex) {
-  PortfolioConfig pc;
-  pc.workers = 8;
-  const SolverConfig reference = sat::diversified_config(pc, 0);
-  EXPECT_EQ(reference.var_decay, pc.base.var_decay);
-  EXPECT_EQ(reference.luby_base, pc.base.luby_base);
+  const SolverConfig base;
+  const SolverConfig reference = sat::diversified_config(0);
+  EXPECT_EQ(reference.var_decay, base.var_decay);
+  EXPECT_EQ(reference.luby_base, base.luby_base);
   for (std::size_t w = 0; w < 8; ++w) {
-    const SolverConfig once = sat::diversified_config(pc, w);
-    const SolverConfig twice = sat::diversified_config(pc, w);
+    const SolverConfig once = sat::diversified_config(w);
+    const SolverConfig twice = sat::diversified_config(w);
     EXPECT_EQ(once.var_decay, twice.var_decay);
     EXPECT_EQ(once.luby_base, twice.luby_base);
     EXPECT_EQ(once.initial_phase, twice.initial_phase);
@@ -429,7 +428,6 @@ TEST(SatAttackPortfolio, PortfolioAndInlineAttacksRecoverEquivalentKeys) {
 
   attack::SatAttackConfig config;
   config.portfolio_workers = 4;
-  config.portfolio_round_conflicts = 64;
   attack::CircuitOracle oracle_b = attack::CircuitOracle::from_netlist(original);
   const auto portfolio_result = attack::sat_attack(locked, oracle_b, config);
   ASSERT_TRUE(portfolio_result.success);

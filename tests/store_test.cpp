@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/appsat.hpp"
 #include "attack/sat_attack.hpp"
 #include "circuit/generator.hpp"
 #include "lock/combinational.hpp"
@@ -1109,32 +1110,176 @@ TEST(ResumeDeterminism, SatAttackRerunFromJournalMatches) {
   const lock::LockedCircuit locked =
       lock::lock_random_xor(netlist, 4, lock_rng);
 
-  attack::SatAttackConfig config;
   attack::SatAttackResult first;
   {
     store::CheckpointSession session(file.path(), 7, "p", true);
-    attack::CircuitOracle oracle = attack::CircuitOracle::from_netlist(netlist);
-    store::AttackObservationJournal journal(&session, "cell.log", 2);
-    config.journal = &journal;
-    first = attack::sat_attack(locked, oracle, config);
+    attack::CircuitOracle live = attack::CircuitOracle::from_netlist(netlist);
+    store::AttackObservationJournal journal(live, &session, "cell.log", 2);
+    first = attack::sat_attack(locked, journal.oracle());
     session.flush();
+    EXPECT_EQ(journal.replayed(), 0u);
+    EXPECT_EQ(live.queries(), first.oracle_queries);
   }
   ASSERT_TRUE(first.success);
-  EXPECT_EQ(first.replayed_queries, 0u);
 
   store::CheckpointSession session(file.path(), 7, "p", true);
   ASSERT_TRUE(session.resumed());
-  attack::CircuitOracle oracle = attack::CircuitOracle::from_netlist(netlist);
-  store::AttackObservationJournal journal(&session, "cell.log", 2);
-  config.journal = &journal;
-  const attack::SatAttackResult second = attack::sat_attack(locked, oracle,
-                                                            config);
+  attack::CircuitOracle live = attack::CircuitOracle::from_netlist(netlist);
+  store::AttackObservationJournal journal(live, &session, "cell.log", 2);
+  const attack::SatAttackResult second =
+      attack::sat_attack(locked, journal.oracle());
   EXPECT_EQ(second.key, first.key);
   EXPECT_EQ(second.dip_iterations, first.dip_iterations);
   EXPECT_EQ(second.oracle_queries, first.oracle_queries);
   EXPECT_EQ(second.solver_stats.conflicts, first.solver_stats.conflicts);
-  EXPECT_EQ(second.replayed_queries, first.oracle_queries)
+  EXPECT_EQ(journal.replayed(), first.oracle_queries)
       << "the rerun should be served entirely from the journal";
+  EXPECT_EQ(live.queries(), 0u);
+}
+
+// AppSAT journals DIP and settle-phase queries interleaved in call order;
+// its settle inputs come from the caller's rng, re-seeded identically.
+TEST(ResumeDeterminism, AppSatRerunFromJournalMatches) {
+  TempSnapshot file("appsat");
+  TempSnapshot cut_file("appsat_cut");
+  const circuit::Netlist cmp = circuit::equality_comparator(6);
+  Rng lock_rng(21);
+  const lock::LockedCircuit locked = lock::lock_random_xor(cmp, 8, lock_rng);
+  attack::AppSatConfig config;
+  config.dips_per_round = 2;
+  config.random_queries = 64;
+  config.error_threshold = 0.03;
+
+  struct Run {
+    attack::AppSatResult result;
+    std::size_t replayed = 0;
+    std::size_t live = 0;
+  };
+  const auto run = [&](store::CheckpointSession* session) {
+    attack::CircuitOracle live = attack::CircuitOracle::from_netlist(cmp);
+    store::AttackObservationJournal journal(live, session, "cell.log", 4);
+    Rng attack_rng(22);
+    Run out;
+    out.result = attack::appsat(locked, journal.oracle(), attack_rng, config);
+    if (session != nullptr) session->flush();
+    out.replayed = journal.replayed();
+    out.live = live.queries();
+    return out;
+  };
+  const auto expect_same = [](const Run& got, const Run& want) {
+    EXPECT_EQ(got.result.key, want.result.key);
+    EXPECT_EQ(got.result.exact, want.result.exact);
+    EXPECT_EQ(got.result.settled, want.result.settled);
+    EXPECT_EQ(got.result.estimated_error, want.result.estimated_error);
+    EXPECT_EQ(got.result.dip_iterations, want.result.dip_iterations);
+    EXPECT_EQ(got.result.rounds, want.result.rounds);
+    EXPECT_EQ(got.result.oracle_queries, want.result.oracle_queries);
+  };
+
+  Run first;
+  std::vector<std::pair<BitVec, BitVec>> observations;
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    first = run(&session);
+    SectionReader r = session.reader("cell.log");
+    while (!r.at_end()) {
+      BitVec x = store::get_bitvec(r);
+      BitVec y = store::get_bitvec(r);
+      observations.emplace_back(std::move(x), std::move(y));
+    }
+  }
+  EXPECT_EQ(first.replayed, 0u);
+  EXPECT_EQ(first.live, first.result.oracle_queries);
+  ASSERT_EQ(observations.size(), first.result.oracle_queries);
+  ASSERT_GT(first.result.dip_iterations, 0u);
+  ASSERT_GT(first.result.oracle_queries, first.result.dip_iterations)
+      << "the journal should hold settle-phase queries too";
+  // Matches the run without a journal.
+  expect_same(first, run(nullptr));
+
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    ASSERT_TRUE(session.resumed());
+    const Run full = run(&session);
+    expect_same(full, first);
+    EXPECT_EQ(full.replayed, first.result.oracle_queries);
+    EXPECT_EQ(full.live, 0u);
+  }
+
+  // A journal cut after k observations: k replay, the rest run live.
+  const std::size_t k = observations.size() / 2;
+  {
+    store::CheckpointSession session(cut_file.path(), 7, "p", false);
+    SectionWriter& w = session.section("cell.log");
+    for (std::size_t i = 0; i < k; ++i) {
+      store::put_bitvec(w, observations[i].first);
+      store::put_bitvec(w, observations[i].second);
+    }
+    session.flush();
+  }
+  store::CheckpointSession session(cut_file.path(), 7, "p", true);
+  ASSERT_TRUE(session.resumed());
+  const Run resumed = run(&session);
+  expect_same(resumed, first);
+  EXPECT_EQ(resumed.replayed, k);
+  EXPECT_EQ(resumed.live, first.result.oracle_queries - k);
+}
+
+TEST(AttackObservationJournal, DivergenceThrowsAndBooksTheMetric) {
+  TempSnapshot file("attack_diverge");
+  const circuit::Netlist netlist = circuit::c17();
+  Rng lock_rng(1004);
+  const lock::LockedCircuit recorded =
+      lock::lock_random_xor(netlist, 4, lock_rng);
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    attack::CircuitOracle live = attack::CircuitOracle::from_netlist(netlist);
+    store::AttackObservationJournal journal(live, &session, "cell.log", 2);
+    ASSERT_TRUE(attack::sat_attack(recorded, journal.oracle()).success);
+    session.flush();
+  }
+
+  // The same journal against other locked gates: the attack asks other DIPs.
+  Rng other_rng(77);
+  const lock::LockedCircuit other =
+      lock::lock_random_xor(netlist, 4, other_rng);
+  const std::uint64_t divergence0 = counter_value("store.snapshot.divergence");
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  attack::CircuitOracle live = attack::CircuitOracle::from_netlist(netlist);
+  store::AttackObservationJournal journal(live, &session, "cell.log", 2);
+  EXPECT_THROW(attack::sat_attack(other, journal.oracle()),
+               store::ReplayDivergenceError);
+  EXPECT_EQ(counter_value("store.snapshot.divergence"), divergence0 + 1);
+  EXPECT_EQ(live.queries(), 0u);
+}
+
+TEST(AttackObservationJournal, NullSessionForwardsEveryQueryAndWritesNothing) {
+  const circuit::Netlist netlist = circuit::c17();
+  Rng lock_rng(1004);
+  const lock::LockedCircuit locked =
+      lock::lock_random_xor(netlist, 4, lock_rng);
+  const std::uint64_t writes0 = counter_value("store.snapshot.writes");
+  const std::uint64_t replayed0 =
+      counter_value("store.snapshot.replayed_queries");
+
+  attack::CircuitOracle live = attack::CircuitOracle::from_netlist(netlist);
+  store::AttackObservationJournal journal(live, nullptr, "cell.log", 1);
+  const attack::SatAttackResult result =
+      attack::sat_attack(locked, journal.oracle());
+  ASSERT_TRUE(result.success);
+  EXPECT_GT(result.oracle_queries, 0u);
+  EXPECT_EQ(live.queries(), result.oracle_queries);
+  EXPECT_EQ(journal.oracle().queries(), result.oracle_queries);
+  EXPECT_EQ(journal.replayed(), 0u);
+  EXPECT_EQ(counter_value("store.snapshot.writes"), writes0);
+  EXPECT_EQ(counter_value("store.snapshot.replayed_queries"), replayed0);
+
+  // Same answers as the bare oracle.
+  attack::CircuitOracle bare = attack::CircuitOracle::from_netlist(netlist);
+  const attack::SatAttackResult direct = attack::sat_attack(locked, bare);
+  EXPECT_EQ(direct.key, result.key);
+  EXPECT_EQ(direct.dip_iterations, result.dip_iterations);
+  EXPECT_EQ(direct.oracle_queries, result.oracle_queries);
 }
 
 // -------------------------------------------------------------- termination
@@ -1170,22 +1315,30 @@ TEST(Termination, RequestFlagTriggersJournalFlush) {
 
   // The attack-side journal flushes early on the same flag.
   TempSnapshot attack_file("term_attack");
+  const auto answer = [](const BitVec& x) {
+    return make_bitvec(2, x.get(0) ? 3 : 4);
+  };
+  const BitVec x1 = make_bitvec(8, 1);
+  const BitVec x2 = make_bitvec(8, 2);
   const std::uint64_t writes1 = counter_value("store.snapshot.writes");
   {
     store::CheckpointSession session(attack_file.path(), 7, "p", true);
-    store::AttackObservationJournal journal(&session, "cell.log", 1000);
-    journal.record(make_bitvec(8, 1), make_bitvec(2, 3));
+    attack::CircuitOracle live(answer);
+    store::AttackObservationJournal journal(live, &session, "cell.log", 1000);
+    (void)journal.oracle().query(x1);
     EXPECT_EQ(counter_value("store.snapshot.writes"), writes1);
     store::request_termination();
-    journal.record(make_bitvec(8, 2), make_bitvec(2, 4));
+    (void)journal.oracle().query(x2);
     EXPECT_GT(counter_value("store.snapshot.writes"), writes1);
   }
   store::clear_termination();
   store::CheckpointSession session(attack_file.path(), 7, "p", true);
-  store::AttackObservationJournal journal(&session, "cell.log", 1000);
-  EXPECT_EQ(journal.serve(make_bitvec(8, 1)), make_bitvec(2, 3));
-  EXPECT_EQ(journal.serve(make_bitvec(8, 2)), make_bitvec(2, 4));
+  attack::CircuitOracle live(answer);
+  store::AttackObservationJournal journal(live, &session, "cell.log", 1000);
+  EXPECT_EQ(journal.oracle().query(x1), answer(x1));
+  EXPECT_EQ(journal.oracle().query(x2), answer(x2));
   EXPECT_EQ(journal.replayed(), 2u);
+  EXPECT_EQ(live.queries(), 0u);
 }
 
 }  // namespace
