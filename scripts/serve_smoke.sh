@@ -18,14 +18,19 @@
 #      must be byte-identical to an uninterrupted run with that budget
 #   5. golden streams: the mixed batch, an edge-case script (query budgets
 #      0/1/2, lockdown amid drops, bursts with metastability, auth and query
-#      at --sigma 0 and 0.3) and both refill legs must reproduce the streams
-#      committed under tests/golden/serve byte for byte, so the outcome
-#      values themselves are pinned, not only their stability
+#      at --sigma 0 and 0.3), both refill legs and a script of one of each
+#      refusal (identical at PITFALLS_THREADS 1/2/4/8) must reproduce the
+#      streams committed under tests/golden/serve byte for byte, so the
+#      outcome values and error messages themselves are pinned, not only
+#      their stability
 #   6. hostile lines through stdin's buffered reads: a 2 MB balanced nested
 #      run line, a 1 MB line with an unterminated string, three jobs over a
 #      work cap (attack budget, attack eval and auth rounds at 2^53), then
 #      one auth job must give a clean exit, four error lines and the job's
 #      outcome
+#   7. unservable fleets: a signed or out-of-range integer flag, zero
+#      stages, and a negative, NaN or infinite sigma must each exit non-zero
+#      before the hello, with nothing on stdout
 #
 # Usage: serve_smoke.sh <build_dir> [work_dir]
 # Exits 0 when every leg passes, 1 on a failure, 2 on usage errors, and 77
@@ -75,10 +80,9 @@ cat > "$work/jobs.txt" <<EOF
 {"type":"drain"}
 EOF
 
-# Edge cases, valid jobs only (an error line embeds the failing check's
-# file:line, which differs between checkouts): e0/e1 starve with 0 and 1
-# CRPs, e2 locks down after 2, e3 locks down amid drops, e4 completes
-# through heavy drops, bursts and metastability.
+# Edge cases: e0/e1 starve with 0 and 1 CRPs, e2 locks down after 2, e3
+# locks down amid drops, e4 completes through heavy drops, bursts and
+# metastability.
 cat > "$work/edge.txt" <<EOF
 {"type":"job","id":"e0","kind":"attack","token":4242,"seed":21,"budget":50,"eval":40,"policy":{"query_budget":0}}
 {"type":"job","id":"e1","kind":"attack","token":4242,"seed":22,"budget":50,"eval":40,"policy":{"query_budget":1}}
@@ -88,6 +92,25 @@ cat > "$work/edge.txt" <<EOF
 {"type":"job","id":"e4","kind":"attack","token":314159,"seed":25,"budget":60,"eval":80,"policy":{"drop_rate":0.6,"burst_rate":0.05,"burst_length":4,"metastable_sigma":0.2}}
 {"type":"job","id":"e5","kind":"auth","token":161803,"seed":26,"rounds":24}
 {"type":"job","id":"e6","kind":"query","token":161803,"seed":27,"challenges":["$C1","$C2"]}
+{"type":"drain"}
+EOF
+
+# One of each refusal, in order: grammar error, unknown request type,
+# missing field, ill-typed field, unknown kind, work field over its cap,
+# a policy the fault layer refuses, a token outside the fleet, a duplicate
+# id, and a query of the wrong arity, which fails at run time with its id.
+cat > "$work/errors.txt" <<EOF
+this is not json
+{"type":"frobnicate"}
+{"type":"job","id":"r1","kind":"auth","token":1,"seed":1}
+{"type":"job","id":"r2","kind":"auth","token":"1","seed":1,"rounds":4}
+{"type":"job","id":"r3","kind":"dance","token":1,"seed":1}
+{"type":"job","id":"r4","kind":"attack","token":1,"seed":1,"budget":65537,"eval":8}
+{"type":"job","id":"r5","kind":"attack","token":1,"seed":1,"budget":8,"eval":8,"policy":{"flip_rate":0.5}}
+{"type":"job","id":"r6","kind":"auth","token":1000000,"seed":1,"rounds":4}
+{"type":"job","id":"ok","kind":"auth","token":1,"seed":1,"rounds":4}
+{"type":"job","id":"ok","kind":"auth","token":2,"seed":1,"rounds":4}
+{"type":"job","id":"r7","kind":"query","token":5,"seed":1,"challenges":["0101"]}
 {"type":"drain"}
 EOF
 
@@ -251,6 +274,20 @@ check_golden "$work/edge_sigma0.out" edge_sigma0.out
 check_golden "$work/edge_sigma0.3.out" edge_sigma0.3.out
 check_golden "$work/lockdown.out" lockdown.out
 check_golden "$work/continue.out" continue.out
+for threads in 1 2 4 8; do
+  if ! PITFALLS_THREADS=$threads "$served" --tokens 1000000 --seed 42 \
+      < "$work/errors.txt" > "$work/errors_t$threads.out"; then
+    echo "serve_smoke: refusal script failed at PITFALLS_THREADS=$threads" >&2
+    exit 1
+  fi
+done
+if ! $check "$work/errors_t1.out" --allow-errors 10 --expect-outcomes 1; then
+  echo "serve_smoke: refusal stream failed schema validation" >&2
+  exit 1
+fi
+for threads in 1 2 4 8; do
+  check_golden "$work/errors_t$threads.out" errors.out
+done
 
 # --- 6. hostile lines ----------------------------------------------------
 echo "== hostile lines: 2 MB nested run, 1 MB unterminated string, over-cap jobs =="
@@ -280,6 +317,22 @@ elif ! $check "$work/hostile.out" --allow-errors 4 --expect-outcomes 1; then
   echo "serve_smoke: hostile-line stream failed schema validation" >&2
   status=1
 fi
+
+# --- 7. unservable fleets -------------------------------------------------
+echo "== unservable fleets exit before the hello =="
+for flags in "--tokens -1" "--resident 99999999999999999999" "--stages 0" \
+    "--sigma -1" "--sigma nan" "--sigma inf"; do
+  # $flags is split on purpose: it holds one flag and its value.
+  "$served" $flags < "$work/jobs.txt" > "$work/refused.out" 2> /dev/null
+  refused_status=$?
+  if [ "$refused_status" = 0 ] || [ -s "$work/refused.out" ]; then
+    echo "serve_smoke: $flags exited $refused_status with" \
+      "$(wc -c < "$work/refused.out") bytes on stdout" >&2
+    status=1
+  else
+    echo "  $flags: exit $refused_status, empty stdout"
+  fi
+done
 
 if [ "$status" = 0 ]; then
   echo "serve_smoke: all legs passed"

@@ -49,16 +49,8 @@ class MembershipOracle {
     record_batch(xs.size());
   }
 
-  /// Queries since construction or the last reset_queries().
+  /// Queries since construction.
   std::size_t queries() const { return queries_; }
-
-  /// Queries since construction, unaffected by reset_queries().
-  std::size_t lifetime_queries() const { return lifetime_queries_; }
-
-  /// Start a fresh per-phase budget (multi-phase attacks reuse one oracle);
-  /// the lifetime count and the global "oracle.membership_queries" counter
-  /// keep running.
-  void reset_queries() { queries_ = 0; }
 
  protected:
   /// Saturating (never wrapping) increments, mirrored into the process-wide
@@ -66,7 +58,6 @@ class MembershipOracle {
   void count() {
     constexpr auto kMax = std::numeric_limits<std::size_t>::max();
     if (queries_ != kMax) ++queries_;
-    if (lifetime_queries_ != kMax) ++lifetime_queries_;
     counter_->add(1);
   }
 
@@ -78,7 +69,6 @@ class MembershipOracle {
   void count_unmirrored() {
     constexpr auto kMax = std::numeric_limits<std::size_t>::max();
     if (queries_ != kMax) ++queries_;
-    if (lifetime_queries_ != kMax) ++lifetime_queries_;
   }
 
   /// Bulk count() for batch overrides: k elements, each counted once, with
@@ -86,8 +76,6 @@ class MembershipOracle {
   void count(std::size_t k) {
     constexpr auto kMax = std::numeric_limits<std::size_t>::max();
     queries_ = k > kMax - queries_ ? kMax : queries_ + k;
-    lifetime_queries_ =
-        k > kMax - lifetime_queries_ ? kMax : lifetime_queries_ + k;
     counter_->add(k);
   }
 
@@ -102,7 +90,6 @@ class MembershipOracle {
 
  private:
   std::size_t queries_ = 0;
-  std::size_t lifetime_queries_ = 0;
   obs::Counter* counter_ =
       &obs::MetricsRegistry::global().counter("oracle.membership_queries");
   obs::Counter* batch_calls_ =
@@ -152,26 +139,18 @@ class EquivalenceOracle {
   virtual std::optional<BitVec> counterexample(
       const BooleanFunction& hypothesis) = 0;
 
+  /// Calls since construction.
   std::size_t calls() const { return calls_; }
-
-  /// Calls since construction, unaffected by reset_calls() — the reset
-  /// symmetry with MembershipOracle::lifetime_queries().
-  std::size_t lifetime_calls() const { return lifetime_calls_; }
-
-  /// Per-phase reset, mirroring MembershipOracle::reset_queries().
-  void reset_calls() { calls_ = 0; }
 
  protected:
   void count_call() {
     constexpr auto kMax = std::numeric_limits<std::size_t>::max();
     if (calls_ != kMax) ++calls_;
-    if (lifetime_calls_ != kMax) ++lifetime_calls_;
     counter_->add(1);
   }
 
  private:
   std::size_t calls_ = 0;
-  std::size_t lifetime_calls_ = 0;
   obs::Counter* counter_ =
       &obs::MetricsRegistry::global().counter("oracle.equivalence_calls");
 };

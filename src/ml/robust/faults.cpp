@@ -9,15 +9,15 @@
 namespace pitfalls::ml::robust {
 
 void validate(const FaultConfig& config) {
-  PITFALLS_REQUIRE(config.flip_rate >= 0.0 && config.flip_rate < 0.5,
-                   "flip rate must be in [0, 0.5)");
-  PITFALLS_REQUIRE(config.burst_rate >= 0.0 && config.burst_rate < 1.0,
-                   "burst rate must be in [0, 1)");
-  PITFALLS_REQUIRE(config.drop_rate >= 0.0 && config.drop_rate < 1.0,
-                   "drop rate must be in [0, 1)");
-  PITFALLS_REQUIRE(config.metastable_sigma >= 0.0,
-                   "metastability sigma must be >= 0");
-  PITFALLS_REQUIRE(config.burst_length > 0, "burst length must be > 0");
+  PITFALLS_REQUIRE_INPUT(config.flip_rate >= 0.0 && config.flip_rate < 0.5,
+                         "flip rate must be in [0, 0.5)");
+  PITFALLS_REQUIRE_INPUT(config.burst_rate >= 0.0 && config.burst_rate < 1.0,
+                         "burst rate must be in [0, 1)");
+  PITFALLS_REQUIRE_INPUT(config.drop_rate >= 0.0 && config.drop_rate < 1.0,
+                         "drop rate must be in [0, 1)");
+  PITFALLS_REQUIRE_INPUT(config.metastable_sigma >= 0.0,
+                         "metastability sigma must be >= 0");
+  PITFALLS_REQUIRE_INPUT(config.burst_length > 0, "burst length must be > 0");
 }
 
 FaultyMembershipOracle::FaultyMembershipOracle(MembershipOracle& inner,

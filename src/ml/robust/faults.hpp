@@ -86,7 +86,9 @@ struct FaultConfig {
 /// layer can model: flip_rate in [0, 0.5), burst_rate and drop_rate in
 /// [0, 1), metastable_sigma >= 0, burst_length > 0. The oracle constructor
 /// and the serve plane's job parser share it, so a spec is refused at
-/// submission exactly when its channel could not be built.
+/// submission exactly when its channel could not be built. The message is
+/// the range alone, with no source location (PITFALLS_REQUIRE_INPUT): it
+/// reaches a client's error line.
 void validate(const FaultConfig& config);
 
 /// Decorator injecting the FaultConfig defects into any MembershipOracle.

@@ -1,5 +1,7 @@
 #include "puf/token.hpp"
 
+#include <cmath>
+
 #include "support/parallel.hpp"
 #include "support/require.hpp"
 
@@ -15,13 +17,17 @@ std::uint64_t token_seed(std::uint64_t fleet_seed, std::uint64_t token_id) {
   return rng();
 }
 
+void validate(const TokenSpec& spec) {
+  PITFALLS_REQUIRE(spec.stages > 0, "token spec needs at least one stage");
+  PITFALLS_REQUIRE(spec.chains > 0, "token spec needs at least one chain");
+  PITFALLS_REQUIRE(std::isfinite(spec.noise_sigma) && spec.noise_sigma >= 0.0,
+                   "token noise sigma must be finite and >= 0");
+}
+
 XorArbiterPuf materialize_token(const TokenSpec& spec,
                                 std::uint64_t fleet_seed,
                                 std::uint64_t token_id) {
-  PITFALLS_REQUIRE(spec.stages > 0, "token spec needs at least one stage");
-  PITFALLS_REQUIRE(spec.chains > 0, "token spec needs at least one chain");
-  PITFALLS_REQUIRE(spec.noise_sigma >= 0.0,
-                   "token noise sigma must be >= 0");
+  validate(spec);
   support::Rng rng =
       support::rng_for_chunk(fleet_seed, static_cast<std::size_t>(token_id));
   return XorArbiterPuf::independent(spec.stages, spec.chains,

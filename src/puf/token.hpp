@@ -29,6 +29,12 @@ struct TokenSpec {
   double noise_sigma = 0.0;
 };
 
+/// Throws std::invalid_argument unless every token of a fleet with this
+/// spec can be materialized: stages > 0, chains > 0, and noise_sigma
+/// finite and >= 0. materialize_token and serve::TokenFleet's constructor
+/// share it, so a fleet that could not serve is refused before it starts.
+void validate(const TokenSpec& spec);
+
 /// The root seed of token `token_id` within the fleet seeded by
 /// `fleet_seed`: SplitMix64-mixed so neighbouring token ids produce
 /// statistically independent instances (the rng_for_chunk construction).

@@ -10,16 +10,39 @@
 
 namespace pitfalls::serve {
 
+namespace {
+
+// The job journal's one section: a record per finished job, appended and
+// never rewritten, so offsets into it stay valid (compaction copies a
+// section's bytes verbatim).
+const std::string kJournal = "jobs";
+
+}  // namespace
+
 Daemon::Daemon(const DaemonConfig& config)
     : config_(config),
       fleet_(config.fleet),
       scheduler_(fleet_, config.checkpoint_path) {
   PITFALLS_REQUIRE(!config_.resume || !config_.checkpoint_path.empty(),
                    "--resume needs a --checkpoint path to load");
-  if (!config_.checkpoint_path.empty())
-    session_ = std::make_unique<store::CheckpointSession>(
-        config_.checkpoint_path, fleet_.config().seed, fleet_.fingerprint(),
-        config_.resume);
+  if (config_.checkpoint_path.empty()) return;
+  // The tag names the journal layout: a checkpoint in another layout is a
+  // provenance mismatch and starts clean, instead of being carried along.
+  session_ = std::make_unique<store::CheckpointSession>(
+      config_.checkpoint_path, fleet_.config().seed,
+      fleet_.fingerprint() + " journal=" + kJournal, config_.resume);
+  if (!session_->has_section(kJournal)) return;
+  // Index the records once; a record that does not parse throws the typed
+  // SnapshotError and ends startup.
+  support::snapshot::SectionReader reader = session_->reader(kJournal);
+  const std::size_t size = reader.remaining();
+  while (!reader.at_end()) {
+    Journaled& record = journal_[reader.str()];
+    record.fingerprint = reader.u32();
+    record.offset = size - reader.remaining();
+    for (std::uint32_t lines = reader.u32(); lines > 0; --lines)
+      reader.raw(reader.u32());
+  }
 }
 
 void Daemon::emit_hello(LineChannel& channel) {
@@ -43,22 +66,9 @@ void Daemon::emit_hello(LineChannel& channel) {
   channel.write_line(writer.str());
 }
 
-bool Daemon::journaled_block(const JobSpec& spec, JobResult& out) {
-  const std::string section = "job." + spec.id;
-  if (!session_ || !session_->has_section(section)) return false;
-  support::snapshot::SectionReader reader = session_->reader(section);
-  if (reader.u32() != spec.fingerprint()) return false;
-  const std::uint32_t count = reader.u32();
-  out.lines.clear();
-  out.lines.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) out.lines.push_back(reader.str());
-  out.ok = true;
-  return true;
-}
-
 void Daemon::journal_block(const JobSpec& spec, const JobResult& result) {
-  support::snapshot::SectionWriter& writer =
-      session_->reset_section("job." + spec.id);
+  support::snapshot::SectionWriter& writer = session_->section(kJournal);
+  writer.str(spec.id);
   writer.u32(spec.fingerprint());
   writer.u32(static_cast<std::uint32_t>(result.lines.size()));
   for (const std::string& line : result.lines) writer.str(line);
@@ -75,8 +85,15 @@ void Daemon::run_pending(LineChannel& channel) {
   std::vector<JobResult> blocks(count);
   for (std::size_t i = 0; i < count; ++i) {
     specs.push_back(std::move(pending_[i].spec));
-    if (pending_[i].journaled && journaled_block(specs[i], blocks[i]))
+    if (const Journaled* record = pending_[i].journaled) {
+      // Read the journaled lines back from the log as the job is served.
+      support::snapshot::SectionReader reader = session_->reader(kJournal);
+      reader.raw(record->offset);
+      blocks[i].lines.resize(reader.u32());
+      for (std::string& line : blocks[i].lines) line = reader.str();
+      blocks[i].ok = true;
       skip[i] = 1;
+    }
   }
   scheduler_.run_wave(specs, skip, blocks);
   for (std::size_t i = 0; i < count; ++i) {
@@ -132,19 +149,16 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
           return p.spec.session == spec.session;
         }))
       return refuse(spec.id, "session already named by a job in this wave");
-    if (session_) {
-      JobResult probe;
-      if (journaled_block(spec, probe)) {
-        pending.journaled = true;
-      } else if (session_->has_section("job." + spec.id)) {
-        // A journaled outcome exists but the resubmitted spec differs —
-        // refusing is the only safe answer (serving it would silently
-        // attribute another spec's outcome to this one).
+    if (const auto record = journal_.find(spec.id); record != journal_.end()) {
+      // A journaled outcome exists but the resubmitted spec differs —
+      // refusing is the only safe answer (serving it would silently
+      // attribute another spec's outcome to this one).
+      if (record->second.fingerprint != spec.fingerprint())
         return refuse(spec.id,
                       "journaled outcome was produced by a different spec");
-      }
+      pending.journaled = &record->second;
     }
-    seen_ids_.emplace(spec.id, true);
+    seen_ids_.insert(spec.id);
     registry.counter("serve.jobs.submitted").add();
     obs::JsonWriter writer;
     writer.begin_object();
@@ -168,17 +182,19 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
   return refuse("", "unknown request type: " + request.type);
 }
 
-int Daemon::drain(LineChannel& channel, obs::StreamingReporter& reporter) {
-  run_pending(channel);
+int Daemon::drain(LineChannel& channel, obs::StreamingReporter& reporter,
+                  bool terminated) {
+  if (!terminated) run_pending(channel);
   reporter.emit_delta("wave");
   if (session_) session_->flush();
   obs::JsonWriter writer;
   writer.begin_object();
   writer.key("type").value("drained");
   writer.key("jobs").value(jobs_emitted_);
+  if (terminated) writer.key("terminated").value(true);
   writer.end_object();
   channel.write_line(writer.str());
-  return 0;
+  return terminated ? 143 : 0;
 }
 
 int Daemon::serve(LineChannel& channel) {
@@ -191,28 +207,17 @@ int Daemon::serve(LineChannel& channel) {
   emit_hello(channel);
   std::string line;
   for (;;) {
-    if (store::termination_requested()) {
-      // Cooperative SIGTERM: flush what is journaled and stop without
-      // starting new work (pending jobs are re-submittable — their specs
-      // are the client's, their finished predecessors are in the journal).
-      reporter.emit_delta("wave");
-      if (session_) session_->flush();
-      obs::JsonWriter writer;
-      writer.begin_object();
-      writer.key("type").value("drained");
-      writer.key("jobs").value(jobs_emitted_);
-      writer.key("terminated").value(true);
-      writer.end_object();
-      channel.write_line(writer.str());
-      return 143;
-    }
+    // Cooperative SIGTERM: flush what is journaled and stop without
+    // starting new work (pending jobs are re-submittable — their specs are
+    // the client's, their finished predecessors are in the journal).
+    if (store::termination_requested()) return drain(channel, reporter, true);
     if (!channel.read_line(line)) break;  // EOF drains
     if (line.empty()) continue;
     const Request request = handle_request(channel, line);
     if (request == Request::kDrain) break;
     if (request == Request::kRanWave) reporter.emit_delta("wave");
   }
-  return drain(channel, reporter);
+  return drain(channel, reporter, false);
 }
 
 }  // namespace pitfalls::serve

@@ -24,23 +24,26 @@
 // PITFALLS_THREADS value.
 //
 // Crash safety: with a checkpoint configured, every finished job block is
-// journaled (one section job.<id>: the spec fingerprint, then the lines) and
-// the file is flushed after each job. A daemon restarted with --resume
-// serves journaled outcomes back without re-executing — provided the
-// resubmitted spec fingerprints identically — so kill -9 mid-run plus a
-// resume replays the identical outcome stream (store::CheckpointSession::
-// flush's crash hook stands in for the kill deterministically). A wave
-// refuses a job whose "session" an earlier job of the same wave names, so
-// each session file has one writer. SIGTERM is cooperative (store
-// termination flag): polled between protocol lines, it drains and exits
-// 143.
+// journaled as one record appended to the section "jobs" (the job id, the
+// spec fingerprint, the line count, then the lines) and the file is flushed
+// after each job, so a flush touches one section however long the session
+// runs. A daemon restarted with --resume indexes that section once (id ->
+// fingerprint and offset) and serves journaled outcomes back without
+// re-executing, reading their lines from the log only when it serves them —
+// provided the resubmitted spec fingerprints identically — so kill -9
+// mid-run plus a resume replays the identical outcome stream
+// (store::CheckpointSession::flush's crash hook stands in for the kill
+// deterministically). A wave refuses a job whose "session" an earlier job
+// of the same wave names, so each session file has one writer. SIGTERM is
+// cooperative (store termination flag): polled between protocol lines, it
+// drains without starting new work and exits 143.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/scheduler.hpp"
@@ -70,9 +73,16 @@ class Daemon {
   const TokenFleet& fleet() const { return fleet_; }
 
  private:
+  /// A record of the loaded journal: the spec fingerprint, and the offset
+  /// of the record's line count in the "jobs" section.
+  struct Journaled {
+    std::uint32_t fingerprint = 0;
+    std::size_t offset = 0;
+  };
+
   struct Pending {
     JobSpec spec;
-    bool journaled = false;  // outcome already in the checkpoint journal
+    const Journaled* journaled = nullptr;  // outcome in the loaded journal
   };
 
   enum class Request { kContinue, kRanWave, kDrain };
@@ -81,15 +91,18 @@ class Daemon {
   Request handle_request(LineChannel& channel, const std::string& line);
   void run_pending(LineChannel& channel);
   void journal_block(const JobSpec& spec, const JobResult& result);
-  bool journaled_block(const JobSpec& spec, JobResult& out);
-  int drain(LineChannel& channel, obs::StreamingReporter& reporter);
+  /// The one shutdown path: run the queued wave (unless terminated), flush,
+  /// and write the "drained" line. Returns the exit status, 0 or 143.
+  int drain(LineChannel& channel, obs::StreamingReporter& reporter,
+            bool terminated);
 
   DaemonConfig config_;
   TokenFleet fleet_;
   JobScheduler scheduler_;
   std::unique_ptr<store::CheckpointSession> session_;
+  std::unordered_map<std::string, Journaled> journal_;  // loaded, by job id
   std::vector<Pending> pending_;
-  std::map<std::string, bool> seen_ids_;  // duplicate-submission guard
+  std::set<std::string> seen_ids_;  // duplicate-submission guard
   std::uint64_t jobs_emitted_ = 0;
 };
 

@@ -141,21 +141,23 @@ struct RequestFields {
 };
 
 const Member& required(const Member& value, std::string_view name) {
-  PITFALLS_REQUIRE(value.present(), "job request is missing the \"" +
-                                        std::string(name) + "\" field");
+  PITFALLS_REQUIRE_INPUT(value.present(), "job request is missing the \"" +
+                                              std::string(name) + "\" field");
   return value;
 }
 
 std::uint64_t as_u64(const Member& value, std::string_view name) {
-  PITFALLS_REQUIRE(value.first == Token::kNumber,
-                   "job field \"" + std::string(name) + "\" must be a number");
+  PITFALLS_REQUIRE_INPUT(
+      value.first == Token::kNumber,
+      "job field \"" + std::string(name) + "\" must be a number");
   const double number = value.number;
-  PITFALLS_REQUIRE(number >= 0.0 && std::floor(number) == number,
-                   "job field \"" + std::string(name) +
-                       "\" must be a non-negative integer");
-  PITFALLS_REQUIRE(number <= 9007199254740992.0,  // 2^53: exact in a double
-                   "job field \"" + std::string(name) +
-                       "\" exceeds the exactly-representable integer range");
+  PITFALLS_REQUIRE_INPUT(number >= 0.0 && std::floor(number) == number,
+                         "job field \"" + std::string(name) +
+                             "\" must be a non-negative integer");
+  PITFALLS_REQUIRE_INPUT(
+      number <= 9007199254740992.0,  // 2^53: exact in a double
+      "job field \"" + std::string(name) +
+          "\" exceeds the exactly-representable integer range");
   return static_cast<std::uint64_t>(number);
 }
 
@@ -167,9 +169,9 @@ std::uint64_t u64_field(const Member& value, std::string_view name) {
 std::size_t capped_field(const Member& value, std::string_view name,
                          std::size_t cap) {
   const std::uint64_t number = u64_field(value, name);
-  PITFALLS_REQUIRE(number <= cap, "job field \"" + std::string(name) +
-                                      "\" exceeds its cap of " +
-                                      std::to_string(cap));
+  PITFALLS_REQUIRE_INPUT(number <= cap, "job field \"" + std::string(name) +
+                                            "\" exceeds its cap of " +
+                                            std::to_string(cap));
   return static_cast<std::size_t>(number);
 }
 
@@ -180,9 +182,9 @@ std::uint64_t u64_or(const Member& value, std::string_view name,
 
 double rate_or(const Member& value, std::string_view name, double fallback) {
   if (!value.present()) return fallback;
-  PITFALLS_REQUIRE(value.first == Token::kNumber,
-                   "policy field \"" + std::string(name) +
-                       "\" must be a number");
+  PITFALLS_REQUIRE_INPUT(value.first == Token::kNumber,
+                         "policy field \"" + std::string(name) +
+                             "\" must be a number");
   return value.number;
 }
 
@@ -211,13 +213,13 @@ JobSpec job_spec(RequestFields& fields) {
   JobSpec spec;
 
   const Member& id = required(fields.id, "id");
-  PITFALLS_REQUIRE(id.first == Token::kString && !id.text.empty(),
-                   "job \"id\" must be a non-empty string");
+  PITFALLS_REQUIRE_INPUT(id.first == Token::kString && !id.text.empty(),
+                         "job \"id\" must be a non-empty string");
   spec.id = id.text;
 
   const Member& kind = required(fields.kind, "kind");
-  PITFALLS_REQUIRE(kind.first == Token::kString,
-                   "job \"kind\" must be a string");
+  PITFALLS_REQUIRE_INPUT(kind.first == Token::kString,
+                         "job \"kind\" must be a string");
   if (kind.text == "auth") {
     spec.kind = JobKind::kAuth;
   } else if (kind.text == "attack") {
@@ -225,7 +227,7 @@ JobSpec job_spec(RequestFields& fields) {
   } else if (kind.text == "query") {
     spec.kind = JobKind::kQuery;
   } else {
-    PITFALLS_REQUIRE(false, "job \"kind\" must be auth, attack or query");
+    support::input_refused("job \"kind\" must be auth, attack or query");
   }
 
   spec.token = u64_field(fields.token, "token");
@@ -234,25 +236,25 @@ JobSpec job_spec(RequestFields& fields) {
   switch (spec.kind) {
     case JobKind::kAuth: {
       spec.rounds = capped_field(fields.rounds, "rounds", kMaxAuthRounds);
-      PITFALLS_REQUIRE(spec.rounds > 0, "auth job needs rounds > 0");
+      PITFALLS_REQUIRE_INPUT(spec.rounds > 0, "auth job needs rounds > 0");
       break;
     }
     case JobKind::kAttack: {
       spec.budget = capped_field(fields.budget, "budget", kMaxAttackBudget);
       spec.eval = capped_field(fields.eval, "eval", kMaxAttackEval);
-      PITFALLS_REQUIRE(spec.budget > 0, "attack job needs budget > 0");
-      PITFALLS_REQUIRE(spec.eval > 0, "attack job needs eval > 0");
+      PITFALLS_REQUIRE_INPUT(spec.budget > 0, "attack job needs budget > 0");
+      PITFALLS_REQUIRE_INPUT(spec.eval > 0, "attack job needs eval > 0");
       if (fields.policy.present()) {
-        PITFALLS_REQUIRE(fields.policy.first == Token::kBeginObject,
-                         "job \"policy\" must be an object");
+        PITFALLS_REQUIRE_INPUT(fields.policy.first == Token::kBeginObject,
+                               "job \"policy\" must be an object");
         spec.faults = parse_policy(fields.policy_fields);
       }
       if (const Member& session = fields.session; session.present()) {
-        PITFALLS_REQUIRE(
+        PITFALLS_REQUIRE_INPUT(
             session.first == Token::kString && !session.text.empty(),
             "job \"session\" must be a non-empty string");
         for (const char c : session.text)
-          PITFALLS_REQUIRE(
+          PITFALLS_REQUIRE_INPUT(
               (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                   (c >= '0' && c <= '9') || c == '-' || c == '_',
               "job \"session\" must be alphanumeric with - or _ "
@@ -263,12 +265,15 @@ JobSpec job_spec(RequestFields& fields) {
     }
     case JobKind::kQuery: {
       const Member& block = required(fields.challenges, "challenges");
-      PITFALLS_REQUIRE(block.first == Token::kBeginArray,
-                       "query job needs a non-empty \"challenges\" array");
-      PITFALLS_REQUIRE(fields.challenges_ok,
-                       "query challenges must be non-empty '0'/'1' strings");
-      PITFALLS_REQUIRE(!fields.bits.empty(),
-                       "query job needs a non-empty \"challenges\" array");
+      PITFALLS_REQUIRE_INPUT(
+          block.first == Token::kBeginArray,
+          "query job needs a non-empty \"challenges\" array");
+      PITFALLS_REQUIRE_INPUT(
+          fields.challenges_ok,
+          "query challenges must be non-empty '0'/'1' strings");
+      PITFALLS_REQUIRE_INPUT(
+          !fields.bits.empty(),
+          "query job needs a non-empty \"challenges\" array");
       spec.challenges = std::move(fields.bits);
       break;
     }

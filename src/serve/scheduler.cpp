@@ -80,8 +80,9 @@ JobResult run_query(TokenFleet& fleet, const JobSpec& spec) {
   const auto model = fleet.acquire(spec.token);
   const std::size_t n = model->num_vars();
   for (const support::BitVec& challenge : spec.challenges)
-    PITFALLS_REQUIRE(challenge.size() == n,
-                     "query challenge arity does not match the fleet tokens");
+    PITFALLS_REQUIRE_INPUT(
+        challenge.size() == n,
+        "query challenge arity does not match the fleet tokens");
   obs::TraceSpan span("serve.job.query");
   std::vector<int> responses(spec.challenges.size());
   model->eval_pm_batch(spec.challenges, responses);

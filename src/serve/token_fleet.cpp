@@ -12,6 +12,7 @@ TokenFleet::TokenFleet(const TokenFleetConfig& config) : config_(config) {
   PITFALLS_REQUIRE(config_.shards > 0, "fleet needs at least one shard");
   PITFALLS_REQUIRE(config_.resident_limit > 0,
                    "fleet needs a positive resident limit");
+  puf::validate(config_.spec);
   per_shard_limit_ = config_.resident_limit / config_.shards;
   if (per_shard_limit_ == 0) per_shard_limit_ = 1;
   shards_.reserve(config_.shards);

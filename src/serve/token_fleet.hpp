@@ -44,6 +44,8 @@ struct TokenFleetConfig {
 
 class TokenFleet {
  public:
+  /// Throws std::invalid_argument for a fleet it could not serve: no
+  /// tokens, shards or residency, or a spec puf::validate refuses.
   explicit TokenFleet(const TokenFleetConfig& config);
 
   /// The token's model, materializing (and possibly evicting) as needed.

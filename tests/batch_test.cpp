@@ -83,6 +83,9 @@ TEST(BatchPuf, ArbiterMatchesScalar) {
   const puf::ArbiterPuf puf(40, 0.05, rng);
   expect_ideal_batch_parity(puf, 101);
   expect_noisy_batch_parity(puf, 102);
+  // 64 stages: the challenge fills its one word exactly.
+  const puf::ArbiterPuf full_word(64, 0.0, rng);
+  expect_ideal_batch_parity(full_word, 103);
 }
 
 TEST(BatchPuf, XorArbiterMatchesScalar) {
@@ -92,6 +95,9 @@ TEST(BatchPuf, XorArbiterMatchesScalar) {
   const puf::XorArbiterPuf puf(std::move(chains));
   expect_ideal_batch_parity(puf, 201);
   expect_noisy_batch_parity(puf, 202);
+  const puf::XorArbiterPuf full_word =
+      puf::XorArbiterPuf::independent(64, 4, 0.0, rng);
+  expect_ideal_batch_parity(full_word, 203);
 }
 
 TEST(BatchPuf, FeedForwardMatchesScalar) {
@@ -138,16 +144,11 @@ TEST(BatchOracle, FunctionOracleCountsOncePerElement) {
   std::vector<int> batch(xs.size()), scalar(xs.size());
   oracle.query_pm_batch(xs, batch);
   EXPECT_EQ(oracle.queries(), xs.size());
-  EXPECT_EQ(oracle.lifetime_queries(), xs.size());
 
   for (std::size_t i = 0; i < xs.size(); ++i)
     scalar[i] = oracle.query_pm(xs[i]);
   EXPECT_EQ(batch, scalar);
   EXPECT_EQ(oracle.queries(), 2 * xs.size());
-
-  oracle.reset_queries();
-  EXPECT_EQ(oracle.queries(), 0u);
-  EXPECT_EQ(oracle.lifetime_queries(), 2 * xs.size());
 }
 
 TEST(BatchOracle, EmptyBatchIsFree) {
@@ -301,28 +302,6 @@ TEST(BatchFaults, MajorityVoteBatchMatchesScalarVoteForVote) {
   EXPECT_EQ(batch_out, scalar_out);
   EXPECT_EQ(batch.votes_cast(), scalar.votes_cast());
   EXPECT_EQ(faulty_b.raw_queries(), faulty_a.raw_queries());
-}
-
-// ----------------------------------------------------- equivalence oracle
-
-TEST(BatchOracle, EquivalenceCallCountersResetAndPersist) {
-  Rng rng(41);
-  const puf::ArbiterPuf target(10, 0.0, rng);
-  const puf::ArbiterPuf other(10, 0.0, rng);
-  ml::ExhaustiveEquivalenceOracle oracle(target);
-
-  EXPECT_FALSE(oracle.counterexample(target).has_value());
-  EXPECT_TRUE(oracle.counterexample(other).has_value());
-  EXPECT_EQ(oracle.calls(), 2u);
-  EXPECT_EQ(oracle.lifetime_calls(), 2u);
-
-  oracle.reset_calls();
-  EXPECT_EQ(oracle.calls(), 0u);
-  EXPECT_EQ(oracle.lifetime_calls(), 2u);
-
-  EXPECT_FALSE(oracle.counterexample(target).has_value());
-  EXPECT_EQ(oracle.calls(), 1u);
-  EXPECT_EQ(oracle.lifetime_calls(), 3u);
 }
 
 // ------------------------------------------------- chunk/batch composition

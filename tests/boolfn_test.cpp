@@ -1,8 +1,11 @@
 // Unit and property tests for pitfalls::boolfn: truth tables, the Fourier
-// transform, LTFs, ANF polynomials and influence machinery.
+// transform, LTFs, ANF polynomials and influence machinery, plus the seed
+// loops the optimized Fourier kernels must match bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "boolfn/anf.hpp"
 #include "boolfn/boolean_function.hpp"
@@ -10,6 +13,10 @@
 #include "boolfn/influence.hpp"
 #include "boolfn/ltf.hpp"
 #include "boolfn/truth_table.hpp"
+#include "puf/crp.hpp"
+#include "puf/xor_arbiter.hpp"
+#include "support/combinatorics.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -365,6 +372,131 @@ TEST(Influence, MajorityInfluencesAreEqual) {
   EXPECT_DOUBLE_EQ(influence(t, 0), influence(t, 1));
   EXPECT_DOUBLE_EQ(influence(t, 1), influence(t, 2));
   EXPECT_DOUBLE_EQ(influence(t, 0), 0.5);
+}
+
+// ---------------------------------------------------- kernel references
+//
+// The seed's loops for three Fourier kernels the library has since
+// optimized (radix-4 + pooled WHT, the bit-sliced parity-cache estimator,
+// the rho^d-table noise sensitivity), kept verbatim as references. The
+// optimized kernels are contractually bit-identical to them at any
+// PITFALLS_THREADS; a compiler that fuses a * b + c into an FMA breaks
+// that, which is why the build passes -ffp-contract=off and CI's
+// native-isa job runs these tests.
+
+std::vector<double> legacy_wht(const TruthTable& table) {
+  const std::uint64_t rows = table.num_rows();
+  std::vector<double> data(rows);
+  for (std::uint64_t row = 0; row < rows; ++row)
+    data[row] = static_cast<double>(table.at(row));
+  for (std::uint64_t len = 1; len < rows; len <<= 1)
+    for (std::uint64_t block = 0; block < rows; block += len << 1)
+      for (std::uint64_t i = block; i < block + len; ++i) {
+        const double a = data[i];
+        const double b = data[i + len];
+        data[i] = a + b;
+        data[i + len] = a - b;
+      }
+  const double scale = 1.0 / static_cast<double>(rows);
+  for (auto& value : data) value *= scale;
+  return data;
+}
+
+std::vector<double> legacy_estimate_from_data(
+    const std::vector<BitVec>& challenges, const std::vector<int>& responses,
+    const std::vector<BitVec>& subsets) {
+  std::vector<double> out(subsets.size(), 0.0);
+  for (std::size_t s = 0; s < subsets.size(); ++s) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < challenges.size(); ++i) {
+      const int chi = challenges[i].masked_parity(subsets[s]) ? -1 : +1;
+      sum += static_cast<double>(responses[i] * chi);
+    }
+    out[s] = sum / static_cast<double>(challenges.size());
+  }
+  return out;
+}
+
+double legacy_noise_sensitivity(const std::vector<double>& coeffs,
+                                double eps) {
+  const double rho = 1.0 - 2.0 * eps;
+  double stability = 0.0;
+  for (std::uint64_t mask = 0; mask < coeffs.size(); ++mask) {
+    const int degree = std::popcount(mask);
+    stability += std::pow(rho, degree) * coeffs[mask] * coeffs[mask];
+  }
+  return 0.5 - 0.5 * stability;
+}
+
+// Restore the worker-pool size on exit (parallel_test idiom).
+class PoolSizeGuard {
+ public:
+  PoolSizeGuard() : saved_(pitfalls::support::pool_thread_count()) {}
+  ~PoolSizeGuard() { pitfalls::support::set_pool_thread_count(saved_); }
+
+ private:
+  std::size_t saved_;
+};
+
+const std::size_t kPoolSizes[] = {1, 4};
+
+// Every arity from 1 to 16: odd and even stage counts, and the pooled
+// sweep, which starts at 2^14 rows.
+TEST(KernelReference, WhtMatchesTheRadixTwoLoop) {
+  PoolSizeGuard guard;
+  for (std::size_t n = 1; n <= 16; ++n) {
+    Rng rng(1000 + n);
+    const TruthTable t = random_table(n, rng);
+    const std::vector<double> expected = legacy_wht(t);
+    for (const std::size_t threads : kPoolSizes) {
+      pitfalls::support::set_pool_thread_count(threads);
+      EXPECT_EQ(FourierSpectrum::of(t).coefficients(), expected)
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
+// Every subset of size <= 2, over CRPs of a 2-XOR arbiter PUF.
+TEST(KernelReference, EstimateFromDataMatchesThePerSubsetLoop) {
+  PoolSizeGuard guard;
+  const std::pair<std::size_t, std::size_t> shapes[] = {{12, 2000},
+                                                        {20, 20000}};
+  for (const auto& [n, m] : shapes) {
+    Rng rng(9);
+    const pitfalls::puf::XorArbiterPuf puf =
+        pitfalls::puf::XorArbiterPuf::independent(n, 2, 0.0, rng);
+    const pitfalls::puf::CrpSet crps =
+        pitfalls::puf::CrpSet::collect_uniform(puf, m, rng);
+    std::vector<BitVec> subsets;
+    for (const auto& subset : pitfalls::support::subsets_up_to_size(n, 2))
+      subsets.push_back(pitfalls::support::subset_mask(n, subset));
+    const std::vector<double> expected = legacy_estimate_from_data(
+        crps.challenges(), crps.responses(), subsets);
+    for (const std::size_t threads : kPoolSizes) {
+      pitfalls::support::set_pool_thread_count(threads);
+      EXPECT_EQ(estimate_coefficients_from_data(crps.challenges(),
+                                                crps.responses(), subsets),
+                expected)
+          << "n=" << n << " m=" << m << " threads=" << threads;
+    }
+  }
+}
+
+TEST(KernelReference, NoiseSensitivityMatchesThePowLoop) {
+  PoolSizeGuard guard;
+  for (const std::size_t n : {10u, 16u}) {
+    Rng rng(11);
+    const auto spectrum = FourierSpectrum::of(random_table(n, rng));
+    for (const double eps : {0.01, 0.05, 0.25}) {
+      const double expected =
+          legacy_noise_sensitivity(spectrum.coefficients(), eps);
+      for (const std::size_t threads : kPoolSizes) {
+        pitfalls::support::set_pool_thread_count(threads);
+        EXPECT_EQ(spectrum.noise_sensitivity(eps), expected)
+            << "n=" << n << " eps=" << eps << " threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

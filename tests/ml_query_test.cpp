@@ -34,26 +34,6 @@ TEST(Oracle, MembershipCountsQueries) {
   EXPECT_EQ(oracle.queries(), 2u);
 }
 
-TEST(Oracle, LifetimeCountersSurviveResets) {
-  const FunctionView f(3, [](const BitVec& x) { return x.pm_one(0); }, "d");
-  FunctionMembershipOracle mq(f);
-  mq.query_pm(BitVec(3));
-  mq.query_pm(BitVec(3, 1));
-  mq.reset_queries();
-  mq.query_pm(BitVec(3));
-  EXPECT_EQ(mq.queries(), 1u);
-  EXPECT_EQ(mq.lifetime_queries(), 3u);
-
-  // EquivalenceOracle mirrors the same per-phase / lifetime split.
-  ExhaustiveEquivalenceOracle eq(f);
-  (void)eq.counterexample(f);
-  (void)eq.counterexample(f);
-  eq.reset_calls();
-  (void)eq.counterexample(f);
-  EXPECT_EQ(eq.calls(), 1u);
-  EXPECT_EQ(eq.lifetime_calls(), 3u);
-}
-
 TEST(Oracle, ExhaustiveEquivalenceFindsDifference) {
   const FunctionView f(4, [](const BitVec& x) { return x.pm_one(0); }, "d0");
   const FunctionView g(4, [](const BitVec& x) { return x.pm_one(1); }, "d1");

@@ -355,25 +355,6 @@ TEST(TraceTest, ScopedTimerObservesUnlessCancelled) {
 
 // --------------------------------------------------------- oracle counting
 
-TEST(OracleCountingTest, PerPhaseResetKeepsLifetimeCount) {
-  const boolfn::FunctionView parity(
-      4, [](const BitVec& x) { return x.parity() ? -1 : +1; }, "parity");
-  ml::FunctionMembershipOracle oracle(parity);
-
-  BitVec x(4);
-  for (int i = 0; i < 5; ++i) oracle.query_pm(x);
-  EXPECT_EQ(oracle.queries(), 5u);
-  EXPECT_EQ(oracle.lifetime_queries(), 5u);
-
-  oracle.reset_queries();
-  EXPECT_EQ(oracle.queries(), 0u);
-  EXPECT_EQ(oracle.lifetime_queries(), 5u);
-
-  for (int i = 0; i < 3; ++i) oracle.query_pm(x);
-  EXPECT_EQ(oracle.queries(), 3u);
-  EXPECT_EQ(oracle.lifetime_queries(), 8u);
-}
-
 TEST(OracleCountingTest, QueriesFeedTheGlobalRegistry) {
   const boolfn::FunctionView constant(
       3, [](const BitVec&) { return +1; }, "const");

@@ -1,10 +1,11 @@
 // Tests for the attack-service plane (DESIGN.md §16): wire-stream
 // byte-stability across PITFALLS_THREADS, token-fleet LRU eviction and
 // re-materialization determinism, malformed-request rejection, cooperative
-// termination drain, journaled-outcome resume, the budget-refill
-// continuation contract (replayed queries charge nothing), million-deep
-// request lines, per-job work caps, and the one-pass wire decode against
-// the DOM path it replaced.
+// termination drain, journaled-outcome resume from the one-section job
+// journal, the budget-refill continuation contract (replayed queries
+// charge nothing), million-deep request lines, per-job work caps,
+// location-free refusal messages, fleets refused at construction, and the
+// one-pass wire decode against the DOM path it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "ml/robust/faults.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "puf/token.hpp"
 #include "serve/daemon.hpp"
 #include "serve/job.hpp"
 #include "serve/scheduler.hpp"
@@ -272,6 +274,32 @@ TEST(TokenFleet, EvictionRematerializesIdenticalModels) {
   }
 }
 
+// A fleet whose tokens could not be materialized is refused when it is
+// built, so the daemon exits before its hello instead of acking jobs that
+// all fail at run time.
+TEST(TokenFleet, RefusesASpecItCannotServe) {
+  const auto with = [](auto edit) {
+    serve::TokenFleetConfig config = small_fleet();
+    edit(config.spec);
+    return config;
+  };
+  const std::vector<serve::TokenFleetConfig> refused = {
+      with([](puf::TokenSpec& spec) { spec.stages = 0; }),
+      with([](puf::TokenSpec& spec) { spec.chains = 0; }),
+      with([](puf::TokenSpec& spec) { spec.noise_sigma = -1.0; }),
+      with([](puf::TokenSpec& spec) {
+        spec.noise_sigma = std::numeric_limits<double>::quiet_NaN();
+      }),
+      with([](puf::TokenSpec& spec) {
+        spec.noise_sigma = std::numeric_limits<double>::infinity();
+      }),
+  };
+  for (std::size_t i = 0; i < refused.size(); ++i)
+    EXPECT_THROW(serve::TokenFleet{refused[i]}, std::invalid_argument)
+        << "spec " << i;
+  EXPECT_NO_THROW(serve::TokenFleet{with([](puf::TokenSpec&) {})});
+}
+
 // ------------------------------------------------------- byte stability
 
 TEST(ServeDaemon, OutputStreamIsByteStableAcrossThreadCounts) {
@@ -455,14 +483,27 @@ TEST(ServeDaemon, MalformedRequestsAreRejectedWithErrorLines) {
   EXPECT_EQ(count_type(run.lines, "ack"), 2u);
   EXPECT_EQ(count_type(run.lines, "outcome"), 1u);
   EXPECT_FALSE(find_line(run.lines, "outcome", "ok1").empty());
+  // Refusals carry their message alone, never the source location of the
+  // check, so the stream is the same wherever the daemon was built.
   const std::string arity_error = find_line(run.lines, "error", "q_short");
   ASSERT_FALSE(arity_error.empty());
-  EXPECT_NE(str_of(arity_error, "message").find("arity"), std::string::npos);
-  // Submission errors carry a null id, so match the fault layer's messages.
+  EXPECT_EQ(str_of(arity_error, "message"),
+            "query challenge arity does not match the fleet tokens");
+  // Submission errors carry a null id; the fault layer's refusals are the
+  // three before the run-time arity failure.
   for (const char* id : {"b5", "b6", "b7"})
     EXPECT_TRUE(find_line(run.lines, "ack", id).empty()) << id;
-  for (const char* check : {"flip rate", "drop rate", "burst length"})
-    EXPECT_NE(run.joined.find(check), std::string::npos) << check;
+  std::vector<std::string> messages;
+  for (const std::string& line : run.lines)
+    if (type_of(obs::JsonValue::parse(line)) == "error")
+      messages.push_back(str_of(line, "message"));
+  ASSERT_EQ(messages.size(), 13u);
+  const std::vector<std::string> policy(messages.begin() + 9,
+                                        messages.begin() + 12);
+  const std::vector<std::string> expected_policy = {
+      "flip rate must be in [0, 0.5)", "drop rate must be in [0, 1)",
+      "burst length must be > 0"};
+  EXPECT_EQ(policy, expected_policy);
   EXPECT_EQ(u64_of(run.lines.back(), "jobs"), 2u);
 }
 
@@ -503,9 +544,7 @@ TEST(ServeDaemon, JobsOverAWorkCapGetErrorLinesAndTheWaveRuns) {
   for (const std::string& line : reference.lines)
     if (type_of(obs::JsonValue::parse(line)) == "error")
       messages.push_back(str_of(line, "message"));
-  ASSERT_EQ(messages.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_NE(messages[i].find(expected[i]), std::string::npos) << messages[i];
+  EXPECT_EQ(messages, expected);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
     support::set_pool_thread_count(threads);
@@ -588,6 +627,120 @@ TEST(ServeDaemon, ResumeRefusesMismatchedSpecFingerprint) {
   EXPECT_TRUE(find_line(second.lines, "ack", "a1").empty());
   EXPECT_TRUE(find_line(second.lines, "outcome", "a1").empty());
   EXPECT_TRUE(find_line(second.lines, "resumed", "a1").empty());
+}
+
+// The job journal is one append-only section, so every flush visits one
+// section however many jobs the session has journaled: 2,000 jobs leave
+// exactly the section "jobs", and a resume serves each record back from it.
+TEST(ServeDaemon, LongSessionsJournalIntoOneSection) {
+  TempCheckpoint file("long");
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.checkpoint_path = file.path();
+  const std::size_t jobs = 2000;
+  std::vector<std::string> input;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    input.push_back(auth_job(std::to_string(i), 7 * i, i, 1));
+    if (i % 100 == 99) input.push_back(kRun);
+  }
+  input.push_back(kDrain);
+  const auto outcomes = [](const std::vector<std::string>& lines) {
+    std::vector<std::string> out;
+    for (const std::string& line : lines)
+      if (type_of(obs::JsonValue::parse(line)) == "outcome")
+        out.push_back(line);
+    return out;
+  };
+
+  const ServeRun first = run_daemon(config, input);
+  ASSERT_EQ(first.status, 0);
+  ASSERT_EQ(outcomes(first.lines).size(), jobs);
+  const support::snapshot::SnapshotWriter log =
+      support::snapshot::SnapshotWriter::decode(
+          support::snapshot::read_file_bytes(file.path()));
+  EXPECT_EQ(log.section_names(), std::vector<std::string>{"jobs"});
+
+  config.resume = true;
+  const ServeRun resumed = run_daemon(config, input);
+  ASSERT_EQ(resumed.status, 0);
+  EXPECT_EQ(count_type(resumed.lines, "resumed"), jobs);
+  EXPECT_EQ(outcomes(resumed.lines), outcomes(first.lines));
+
+  // A journaled id resubmitted with another seed is refused by the one
+  // fingerprint lookup, and nothing of it is served.
+  const ServeRun other = run_daemon(config, {auth_job("5", 35, 6, 1), kDrain});
+  ASSERT_EQ(other.status, 0);
+  const std::string error = find_line(other.lines, "error", "5");
+  ASSERT_FALSE(error.empty()) << other.joined;
+  EXPECT_EQ(str_of(error, "message"),
+            "journaled outcome was produced by a different spec");
+  EXPECT_TRUE(find_line(other.lines, "ack", "5").empty());
+  EXPECT_TRUE(find_line(other.lines, "resumed", "5").empty());
+}
+
+// A checkpoint in the one-section-per-job layout ("job.<id>", provenance
+// without the journal tag) is another run identity: the daemon starts
+// clean rather than carrying those sections through every compaction.
+TEST(ServeDaemon, CheckpointInTheOldJournalLayoutResumesClean) {
+  TempCheckpoint file("layout");
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.checkpoint_path = file.path();
+  const std::string job = auth_job("a1", 5, 1, 8);
+  const std::string stale =
+      R"({"type":"outcome","id":"a1","kind":"auth","rounds":8,)"
+      R"("accepted":0,"digest":"00000000"})";
+  {
+    store::CheckpointSession old(file.path(), config.fleet.seed,
+                                 serve::TokenFleet(config.fleet).fingerprint(),
+                                 /*resume=*/false);
+    support::snapshot::SectionWriter& record = old.reset_section("job.a1");
+    record.u32(serve::decode_request(job).job.fingerprint());
+    record.u32(1);
+    record.str(stale);
+    old.flush();
+  }
+
+  config.resume = true;
+  const std::uint64_t mismatch = counter_value("store.snapshot.mismatch");
+  const ServeRun run = run_daemon(config, {job, kDrain});
+  ASSERT_EQ(run.status, 0);
+  EXPECT_EQ(counter_value("store.snapshot.mismatch"), mismatch + 1);
+  const obs::JsonValue hello = obs::JsonValue::parse(run.lines.front());
+  const obs::JsonValue* resumed = hello.find("resumed");
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_TRUE(resumed->is_bool() && !resumed->bool_value);
+  EXPECT_TRUE(find_line(run.lines, "resumed", "a1").empty());
+  const std::string outcome = find_line(run.lines, "outcome", "a1");
+  ASSERT_FALSE(outcome.empty());
+  EXPECT_NE(outcome, stale);
+  EXPECT_EQ(support::snapshot::SnapshotWriter::decode(
+                support::snapshot::read_file_bytes(file.path()))
+                .section_names(),
+            std::vector<std::string>{"jobs"});
+}
+
+// A journal section that does not parse ends startup with the typed error,
+// before any job is acked against it.
+TEST(ServeDaemon, UnparsableJournalEndsStartup) {
+  TempCheckpoint file("torn_record");
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.checkpoint_path = file.path();
+  {
+    store::CheckpointSession session(
+        file.path(), config.fleet.seed,
+        serve::TokenFleet(config.fleet).fingerprint() + " journal=jobs",
+        /*resume=*/false);
+    support::snapshot::SectionWriter& jobs = session.section("jobs");
+    jobs.str("a1");
+    jobs.u32(7);
+    jobs.u32(2);  // two lines promised, one written
+    jobs.str("{}");
+    session.flush();
+  }
+  config.resume = true;
+  EXPECT_THROW(serve::Daemon{config}, support::snapshot::SnapshotError);
 }
 
 // A session file has one writer at a time. Two jobs of one wave that name

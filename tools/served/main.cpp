@@ -13,6 +13,7 @@
 // run
 //   pitfalls-served --tokens 1000000 --seed 42 < jobs.txt
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,10 +47,15 @@ using pitfalls::serve::DaemonConfig;
 }
 
 std::uint64_t parse_u64(const char* flag, const char* text) {
+  // strtoull would skip blanks, wrap a '-' and saturate out-of-range values,
+  // so only plain digits that fit in 64 bits are accepted.
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "pitfalls-served: %s expects an integer, got %s\n",
+  if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr,
+                 "pitfalls-served: %s expects an unsigned 64-bit integer, "
+                 "got %s\n",
                  flag, text);
     std::exit(2);
   }
