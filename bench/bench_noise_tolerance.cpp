@@ -57,12 +57,15 @@ int main(int argc, char** argv) {
   obs::BenchReporter reporter("noise_tolerance", argc, argv);
   const bool smoke = reporter.smoke();
 
-  // Crash-safe sweep (--checkpoint/--resume): part 2's cells journal their
-  // oracle traffic and store their outcomes; a killed run resumed from the
-  // snapshot replays the in-flight cell's journal (charging no budget) and
-  // skips completed cells, ending byte-identical to an uninterrupted run.
+  // Crash-safe sweep (--checkpoint/--resume): part 2's cells journal what
+  // the token answered, beneath the fault channel, and store their
+  // outcomes; a killed run resumed from the snapshot re-walks the in-flight
+  // cell's channel over the journaled answers (asking the token nothing
+  // twice) and skips completed cells, ending byte-identical to an
+  // uninterrupted run. The tag's version names the journal layout, so a
+  // snapshot in another layout starts clean instead of misparsing.
   const auto session = store::open_bench_session(reporter, 7,
-                                                 "noise_tolerance.v1");
+                                                 "noise_tolerance.v2");
 
   std::cout << "== Attribute-noise tolerance: LMN vs Perceptron ==\n"
             << "(2-XOR arbiter PUF, n=12, feature-space view, noisy "
@@ -189,15 +192,12 @@ int main(int argc, char** argv) {
             LearnOutcome<ml::LinearModel>>(
             session.get(), cell,
             [&] {
-              ml::FunctionMembershipOracle inner(target);
-              FaultyMembershipOracle oracle(inner, fc, 1000 + budget);
+              ml::FunctionMembershipOracle token(target);
+              store::RecordingOracle journal(token, session.get(),
+                                             cell + ".log");
+              FaultyMembershipOracle oracle(journal, fc, 1000 + budget);
               Rng rng(41);
-              if (session == nullptr)
-                return robust_perceptron(oracle, ml::parity_with_bias, config,
-                                         rng);
-              store::RecordingOracle journal(oracle, *session, cell + ".log",
-                                             &oracle);
-              return robust_perceptron(journal, ml::parity_with_bias, config,
+              return robust_perceptron(oracle, ml::parity_with_bias, config,
                                        rng);
             },
             [](auto& w, const LearnOutcome<ml::LinearModel>& o) {
@@ -218,13 +218,12 @@ int main(int argc, char** argv) {
             LearnOutcome<ml::SparseFourierHypothesis>>(
             session.get(), cell,
             [&] {
-              ml::FunctionMembershipOracle inner(target);
-              FaultyMembershipOracle oracle(inner, fc, 2000 + budget);
+              ml::FunctionMembershipOracle token(target);
+              store::RecordingOracle journal(token, session.get(),
+                                             cell + ".log");
+              FaultyMembershipOracle oracle(journal, fc, 2000 + budget);
               Rng rng(43);
-              if (session == nullptr) return robust_lmn(oracle, 2, config, rng);
-              store::RecordingOracle journal(oracle, *session, cell + ".log",
-                                             &oracle);
-              return robust_lmn(journal, 2, config, rng);
+              return robust_lmn(oracle, 2, config, rng);
             },
             [](auto& w, const LearnOutcome<ml::SparseFourierHypothesis>& o) {
               store::put_outcome(

@@ -13,9 +13,14 @@
 #      must serve the journaled outcomes back -- the complete outcome stream
 #      has to match the uninterrupted reference byte for byte; then the same
 #      resume from a copy of the journal that ends in a torn frame
-#   4. budget-refill continuation: a lockdown-tripped attack session is
-#      continued with a larger query budget, and the continuation outcome
-#      must be byte-identical to an uninterrupted run with that budget
+#   4. continuations follow their own spec: a lockdown-tripped attack
+#      session continued with a larger query budget, and three fresh
+#      sessions continued with a smaller budget, another flip rate and
+#      another drop rate. Each is checked against a no-session run of the
+#      continued spec: the first three outcome lines must be byte-identical
+#      to it; another drop rate sends other challenges to the token, so
+#      that continuation must end in one error line naming the divergence,
+#      with no outcome and exit 0
 #   5. golden streams: the mixed batch, an edge-case script (query budgets
 #      0/1/2, lockdown amid drops, bursts with metastability, auth and query
 #      at --sigma 0 and 0.3), both refill legs and a script of one of each
@@ -244,6 +249,54 @@ if cmp -s "$work/continue_outcome.txt" "$work/fresh_outcome.txt"; then
 else
   echo "serve_smoke: continuation outcome diverged from fresh run" >&2
   diff "$work/continue_outcome.txt" "$work/fresh_outcome.txt" >&2
+  status=1
+fi
+
+# Three more continuations of fresh sessions, each against a no-session run
+# of the continued spec. The journal holds what the token answered, beneath
+# the fault channel, so the continuation re-walks its own channel.
+echo "== continuations under a smaller budget, another flip rate, another drop rate =="
+continuation_job() {  # <id> <policy> [session]
+  printf '%s\n%s\n' \
+    "{\"type\":\"job\",\"id\":\"$1\",\"kind\":\"attack\",\"token\":500000,\"seed\":11,\"budget\":120,\"eval\":80,\"policy\":$2${3:+,\"session\":\"$3\"}}" \
+    '{"type":"drain"}'
+}
+continuation() {  # <name> <first policy> <next policy>
+  continuation_job "$1a" "$2" "$1" | "$served" --tokens 1000000 --seed 42 \
+    --checkpoint "$work/$1.snap" > "$work/$1_first.out" &&
+  continuation_job "$1b" "$3" "$1" | "$served" --tokens 1000000 --seed 42 \
+    --checkpoint "$work/$1.snap" --resume > "$work/$1_next.out" &&
+  continuation_job "$1b" "$3" | "$served" --tokens 1000000 --seed 42 \
+    > "$work/$1_ref.out"
+}
+if ! continuation shrink '{"flip_rate":0.03,"query_budget":300}' \
+      '{"flip_rate":0.03,"query_budget":60}' ||
+    ! continuation reflip '{"flip_rate":0.03,"query_budget":60}' \
+      '{"flip_rate":0.2,"query_budget":300}' ||
+    ! continuation redrop '{"drop_rate":0.05,"query_budget":60}' \
+      '{"drop_rate":0.2,"query_budget":300}'; then
+  echo "serve_smoke: a continuation leg failed" >&2
+  exit 1
+fi
+for name in shrink reflip; do
+  grep '"type":"outcome"' "$work/${name}_next.out" > "$work/${name}_next_outcome.txt"
+  grep '"type":"outcome"' "$work/${name}_ref.out" > "$work/${name}_ref_outcome.txt"
+  if [ -s "$work/${name}_ref_outcome.txt" ] &&
+      cmp -s "$work/${name}_next_outcome.txt" "$work/${name}_ref_outcome.txt"; then
+    echo "  $name: continuation outcome byte-identical to the no-session run"
+  else
+    echo "serve_smoke: $name continuation diverged from the no-session run" >&2
+    diff "$work/${name}_next_outcome.txt" "$work/${name}_ref_outcome.txt" >&2
+    status=1
+  fi
+done
+if $check "$work/redrop_next.out" --allow-errors 1 --expect-outcomes 0 &&
+    grep -q '"type":"error","id":"redropb",.*diverged' "$work/redrop_next.out"
+then
+  echo "  redrop: one error line naming the divergence, no outcome"
+else
+  echo "serve_smoke: the drop-rate continuation was not refused" >&2
+  cat "$work/redrop_next.out" >&2
   status=1
 fi
 

@@ -61,11 +61,11 @@ class MembershipOracle {
     counter_->add(1);
   }
 
-  /// count() without the process-wide metrics mirror — for decorators whose
-  /// inner oracle already books the query into "oracle.membership_queries"
-  /// when forwarding (store::RecordingOracle). A replayed query books into
-  /// store.snapshot.replayed_queries instead, keeping the global counter an
-  /// honest count of physical oracle traffic.
+  /// count() without the process-wide metrics mirror, for decorators
+  /// (FaultyMembershipOracle, MajorityVoteOracle, store::RecordingOracle):
+  /// only the oracle that asks the target books "oracle.membership_queries",
+  /// so the global counter is an honest count of physical oracle traffic. A
+  /// query a journal answers books store.snapshot.replayed_queries instead.
   void count_unmirrored() {
     constexpr auto kMax = std::numeric_limits<std::size_t>::max();
     if (queries_ != kMax) ++queries_;

@@ -14,7 +14,11 @@
 // (support::rng_for_chunk). Oracle queries are serial — learners consume
 // answers one at a time — so the fault sequence is byte-identical for every
 // PITFALLS_THREADS value, and identical seeds replay identical fault
-// sequences regardless of what the surrounding code does with the pool.
+// sequences regardless of what the surrounding code does with the pool. No
+// coin reads the inner response, which is what lets query_pm_batch plan a
+// batch's faults before asking, and lets a resumed run re-walk the channel
+// over a journal of the token's answers (store::RecordingOracle sits
+// beneath the channel) instead of persisting the channel's position.
 #pragma once
 
 #include <cstddef>
@@ -92,7 +96,10 @@ struct FaultConfig {
 void validate(const FaultConfig& config);
 
 /// Decorator injecting the FaultConfig defects into any MembershipOracle.
-/// All fault events are mirrored into the `robust.faults.*` metrics.
+/// All fault events are mirrored into the `robust.faults.*` metrics. Its
+/// queries() counts raw rounds, drops included, without mirroring them into
+/// oracle.membership_queries: the oracle beneath that asks the target books
+/// those, and a round answered from a journal reaches no target.
 class FaultyMembershipOracle final : public MembershipOracle {
  public:
   FaultyMembershipOracle(MembershipOracle& inner, const FaultConfig& config,
@@ -113,45 +120,30 @@ class FaultyMembershipOracle final : public MembershipOracle {
 
   const FaultConfig& config() const { return config_; }
 
-  /// Budget-refill continuation (DESIGN.md §16): raise the lifetime query
-  /// budget of a live channel without disturbing its fault-stream position.
-  /// The per-query fault streams are keyed by the raw query index, so a
-  /// channel that spent B queries, was refilled to 2B and then spends B more
-  /// draws exactly the fault sequence a fresh channel with budget 2B would
-  /// have drawn — refilling changes *when* the lockdown trips and nothing
-  /// else. Shrinking is rejected: a budget below the spent count would
-  /// re-trip the lockdown retroactively.
-  void refill_budget(std::size_t new_budget);
-
   /// Physical queries still answerable before the lockdown trips.
   std::size_t remaining_budget() const;
 
   /// Raw (attempted) physical queries, including dropped responses.
   std::size_t raw_queries() const { return raw_queries_; }
 
-  /// Complete fault-channel position for checkpoint/resume (src/store):
-  /// raw_queries indexes the per-query fault streams, burst_remaining is
-  /// the countdown of an in-flight burst, flips/drops are the tallies the
-  /// accessors above report. restore_state() puts the channel exactly where
-  /// a recorded run left it WITHOUT touching the inner oracle — replayed
-  /// queries are served from the snapshot log and must never re-charge the
-  /// lifetime budget (remaining_budget() derives from raw_queries).
-  struct State {
-    std::size_t raw_queries = 0;
-    std::size_t burst_remaining = 0;
-    std::size_t flips = 0;
-    std::size_t drops = 0;
-  };
-  State state() const {
-    return {raw_queries_, burst_remaining_, flips_, drops_};
-  }
-  void restore_state(const State& state);
-
   /// Responses flipped by any channel (iid + burst + metastable).
   std::size_t faults_injected() const { return flips_; }
   std::size_t responses_dropped() const { return drops_; }
 
  private:
+  /// What the fault plan decided for one raw round.
+  enum class Fault { kNone, kFlip, kDrop, kRefused };
+
+  /// The fault plan of the next raw round for challenge `x`: the lockdown
+  /// check, then the round's coins in the contract's order (drop, burst,
+  /// flip, metastable), with the tallies and robust.* metrics booked and
+  /// the round counted. kRefused leaves the round unspent. query_pm and
+  /// query_pm_batch share it, so their fault sequences cannot drift.
+  Fault step(const BitVec& x);
+  /// Throw what the scalar loop signals for a round with no answer (kDrop,
+  /// kRefused); return for the others.
+  static void raise(Fault fault);
+
   MembershipOracle* inner_;
   FaultConfig config_;
   std::uint64_t seed_;

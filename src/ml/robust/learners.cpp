@@ -36,15 +36,17 @@ Examples collect_examples(MembershipOracle& oracle, std::size_t m,
 
 namespace {
 
+/// Held-out accuracy at or above which a completed run counts as
+/// converged; below it the run reports noise_ceiling.
+constexpr double kTargetAccuracy = 0.9;
+
 /// Status per the shared degradation policy: the budget lockdown dominates
 /// (the run can never get more data), then the held-out verdict. A
 /// completed run with no held-out set (holdout_queries = 0) counts as
 /// converged — there is nothing to refute it with.
 template <typename H>
 LearnOutcome<H> assemble(std::optional<H> hypothesis, bool budget_hit,
-                         const Examples& holdout,
-                         const RobustLearnConfig& config,
-                         std::size_t queries_spent,
+                         const Examples& holdout, std::size_t queries_spent,
                          std::map<std::string, double> diagnostics) {
   LearnOutcome<H> out;
   out.queries_spent = queries_spent;
@@ -67,7 +69,7 @@ LearnOutcome<H> assemble(std::optional<H> hypothesis, bool budget_hit,
 
   if (budget_hit || !hypothesis.has_value())
     out.status = LearnStatus::budget_exhausted;
-  else if (heldout < 0.0 || heldout >= config.target_accuracy)
+  else if (heldout < 0.0 || heldout >= kTargetAccuracy)
     out.status = LearnStatus::converged;
   else
     out.status = LearnStatus::noise_ceiling;
@@ -132,7 +134,7 @@ LearnOutcome<LinearModel> robust_perceptron(MembershipOracle& oracle,
     data.diagnostics["epochs"] = static_cast<double>(stats.epochs);
     data.diagnostics["mistakes"] = static_cast<double>(stats.mistakes);
   }
-  return assemble(std::move(model), data.budget_hit, data.holdout, config,
+  return assemble(std::move(model), data.budget_hit, data.holdout,
                   oracle.queries() - before, std::move(data.diagnostics));
 }
 
@@ -153,7 +155,7 @@ LearnOutcome<LinearModel> robust_logistic(MembershipOracle& oracle,
                                              rng, &stats);
     data.diagnostics["iterations"] = static_cast<double>(stats.iterations);
   }
-  return assemble(std::move(model), data.budget_hit, data.holdout, config,
+  return assemble(std::move(model), data.budget_hit, data.holdout,
                   oracle.queries() - before, std::move(data.diagnostics));
 }
 
@@ -172,8 +174,7 @@ LearnOutcome<SparseFourierHypothesis> robust_lmn(
         static_cast<double>(hypothesis->num_terms());
   }
   return assemble(std::move(hypothesis), data.budget_hit, data.holdout,
-                  config, oracle.queries() - before,
-                  std::move(data.diagnostics));
+                  oracle.queries() - before, std::move(data.diagnostics));
 }
 
 LearnOutcome<boolfn::Ltf> robust_chow(MembershipOracle& oracle,
@@ -191,7 +192,7 @@ LearnOutcome<boolfn::Ltf> robust_chow(MembershipOracle& oracle,
     ltf = reconstruct_ltf(chow, rc, data.train.challenges);
     data.diagnostics["degree1_weight"] = chow.degree1_weight();
   }
-  return assemble(std::move(ltf), data.budget_hit, data.holdout, config,
+  return assemble(std::move(ltf), data.budget_hit, data.holdout,
                   oracle.queries() - before, std::move(data.diagnostics));
 }
 
@@ -242,7 +243,7 @@ LearnOutcome<boolfn::AnfPolynomial> robust_anf(MembershipOracle& oracle,
   diagnostics["coefficients_unresolved"] = static_cast<double>(unresolved);
   diagnostics["terms"] = static_cast<double>(poly.sparsity());
   return assemble(std::optional<boolfn::AnfPolynomial>(std::move(poly)),
-                  budget_hit, holdout, config, oracle.queries() - before,
+                  budget_hit, holdout, oracle.queries() - before,
                   std::move(diagnostics));
 }
 

@@ -37,9 +37,6 @@ struct RobustLearnConfig {
   /// Learner iteration cap (epochs / gradient iterations / Chow correction
   /// rounds / L* equivalence rounds). 0 keeps the learner's default.
   std::size_t max_iterations = 0;
-  /// Held-out accuracy at or above which the run counts as converged;
-  /// below it a completed run reports noise_ceiling.
-  double target_accuracy = 0.9;
   RetryPolicy retry{};
 };
 
@@ -131,8 +128,8 @@ class BudgetedDfaTeacher final : public DfaTeacher {
 };
 
 /// L* under a membership-query budget (train_queries) and an
-/// equivalence-round cap (max_iterations). target_accuracy is unused: with
-/// an accepting teacher the run is exact, otherwise degraded.
+/// equivalence-round cap (max_iterations). No held-out bar applies: with an
+/// accepting teacher the run is exact, otherwise degraded.
 LearnOutcome<Dfa> robust_lstar(DfaTeacher& teacher,
                                const RobustLearnConfig& config);
 

@@ -55,7 +55,7 @@ std::size_t MajorityVoteOracle::num_vars() const {
 }
 
 int MajorityVoteOracle::query_pm(const BitVec& x) {
-  count();
+  count_unmirrored();
   const std::size_t r = votes_per_query_;
   const std::size_t majority = r / 2 + 1;
   std::size_t plus = 0;

@@ -61,9 +61,9 @@ struct JobSpec {
   /// the token (eta, bursts, drops, lifetime query budget). decode_request()
   /// refuses any config ml::robust::validate refuses.
   ml::robust::FaultConfig faults;
-  /// Non-empty: journal the oracle interaction into a named per-job session
-  /// so a lockdown-tripped attack can be continued later with a refilled
-  /// budget (replayed queries charge nothing — DESIGN.md §16).
+  /// Non-empty: journal what the token answered into a named per-job
+  /// session, so a later job can continue a lockdown-tripped attack under
+  /// its own policy (replayed answers charge nothing — DESIGN.md §16).
   std::string session;
 
   // query

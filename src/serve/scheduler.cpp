@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <exception>
-#include <optional>
+#include <memory>
 #include <span>
 #include <utility>
 
@@ -187,34 +187,31 @@ JobResult run_attack(TokenFleet& fleet, const std::string& checkpoint_path,
                      const JobSpec& spec) {
   const auto model = fleet.acquire(spec.token);
   // The job's private channel stack, declared in decoration order: the
-  // token's ideal CRP map, then the §9 fault layer, then — for a named
-  // session — the journal recorder. The fault stream is keyed by the job
-  // seed, not the daemon seed: the fault sequence belongs to the spec, so
-  // resubmitting a spec (or resuming its session on another daemon over the
-  // same fleet) replays the identical channel. Session files are per job,
-  // never shared between concurrent jobs, which keeps journaling race-free
-  // on the worker pool.
-  ml::FunctionMembershipOracle token(*model);
-  ml::robust::FaultyMembershipOracle faulty(token, spec.faults, spec.seed);
-  std::optional<store::CheckpointSession> session;
-  std::optional<store::RecordingOracle> recorder;
+  // token's ideal CRP map, then — for a named session — the journal of
+  // what the token answered, then the §9 fault layer. The fault stream is
+  // keyed by the job seed, not the daemon seed: the fault sequence belongs
+  // to the spec, so resubmitting a spec (or resuming its session on another
+  // daemon over the same fleet) re-walks the identical channel over the
+  // journaled answers. Session files are per job, never shared between
+  // concurrent jobs, which keeps journaling race-free on the worker pool.
+  std::unique_ptr<store::CheckpointSession> session;
   if (!spec.session.empty()) {
     PITFALLS_REQUIRE(!checkpoint_path.empty(),
                      "oracle sessions need the daemon --checkpoint path");
     // Sessions always resume when their file exists: a continuation job
-    // with a refilled query_budget replays the journaled interactions for
-    // free and answers the stripped refusals live (drop_recorded_refusals).
-    // The provenance binds the journal to this fleet, session and token.
-    session.emplace(checkpoint_path + ".sess-" + spec.session + ".snap",
-                    spec.seed,
-                    fleet.fingerprint() + " session=" + spec.session +
-                        " token=" + std::to_string(spec.token),
-                    /*resume=*/true);
-    recorder.emplace(faulty, *session, "oracle.log", &faulty,
-                     /*flush_every=*/256, /*drop_recorded_refusals=*/true);
+    // replays the journaled token answers for free under its own fault
+    // policy, so a larger query_budget continues the attack and a smaller
+    // one locks down at that budget. The provenance binds the journal to
+    // this fleet, session and token, and names its layout.
+    session = std::make_unique<store::CheckpointSession>(
+        checkpoint_path + ".sess-" + spec.session + ".snap", spec.seed,
+        fleet.fingerprint() + " session=" + spec.session +
+            " token=" + std::to_string(spec.token) + " journal=answers",
+        /*resume=*/true);
   }
-  ml::MembershipOracle& oracle =
-      recorder ? static_cast<ml::MembershipOracle&>(*recorder) : faulty;
+  ml::FunctionMembershipOracle token(*model);
+  store::RecordingOracle recorder(token, session.get(), "oracle.log");
+  ml::robust::FaultyMembershipOracle oracle(recorder, spec.faults, spec.seed);
   support::Rng rng = job_stream(fleet, spec);
 
   // Collection is ml::robust's budgeted random-example loop with one
@@ -242,13 +239,13 @@ JobResult run_attack(TokenFleet& fleet, const std::string& checkpoint_path,
   } else {
     status = "starved";
   }
-  if (recorder) recorder->flush_now();
+  recorder.flush_now();
 
   JobTally tally;
-  tally.queries = faulty.raw_queries();
-  tally.replayed = recorder ? recorder->replayed_queries() : 0;
-  tally.flips = faulty.faults_injected();
-  tally.drops = faulty.responses_dropped();
+  tally.queries = oracle.raw_queries();
+  tally.replayed = recorder.replayed_queries();
+  tally.flips = oracle.faults_injected();
+  tally.drops = oracle.responses_dropped();
   tally.spans = {"serve.job.collect", "serve.job.fit", "serve.job.eval"};
 
   obs::JsonWriter writer;

@@ -115,14 +115,6 @@ void CheckpointSession::flush() {
     std::_Exit(137);
 }
 
-void note_replayed_query() { StoreMetrics::get().replayed_queries.add(1); }
-
-void throw_divergence(const std::string& context) {
-  StoreMetrics::get().divergence.add(1);
-  throw ReplayDivergenceError(
-      "oracle journal diverged from the live computation (" + context + ")");
-}
-
 void install_termination_handler() {
   std::signal(SIGTERM, on_termination_signal);
 }
@@ -156,117 +148,87 @@ std::unique_ptr<CheckpointSession> open_bench_session(
   }
 }
 
-RecordingOracle::RecordingOracle(
-    ml::MembershipOracle& inner, CheckpointSession& session,
-    std::string section, ml::robust::FaultyMembershipOracle* fault_channel,
-    std::size_t flush_every, bool drop_recorded_refusals)
-    : inner_(&inner),
-      session_(&session),
+namespace {
+
+// The answer codecs of the two journals: a membership answer is one byte
+// (1 means -1), a circuit answer its output bits.
+void put_answer(SectionWriter& w, int y) {
+  w.u8(y < 0 ? std::uint8_t{1} : std::uint8_t{0});
+}
+void put_answer(SectionWriter& w, const BitVec& y) { put_bitvec(w, y); }
+void get_answer(SectionReader& r, int& y) {
+  const std::uint8_t byte = r.u8();
+  PITFALLS_REQUIRE(byte <= 1, "snapshot oracle journal: bad answer byte");
+  y = byte != 0 ? -1 : +1;
+}
+void get_answer(SectionReader& r, BitVec& y) { y = get_bitvec(r); }
+
+}  // namespace
+
+template <typename Answer>
+OracleJournal<Answer>::OracleJournal(CheckpointSession* session,
+                                     std::string section,
+                                     std::size_t flush_every)
+    : session_(session),
       section_(std::move(section)),
-      state_section_(section_ + ".oracle"),
-      fault_channel_(fault_channel),
       flush_every_(flush_every) {
+  if (session_ == nullptr) return;
   PITFALLS_REQUIRE(flush_every_ > 0, "flush cadence must be > 0");
-  if (session_->has_section(section_)) {
-    SectionReader r = session_->reader(section_);
-    while (!r.at_end()) {
-      Event event;
-      event.kind = r.u8();
-      PITFALLS_REQUIRE(event.kind <= kBudgetRefused,
-                       "snapshot oracle journal: unknown event kind");
-      event.challenge = get_bitvec(r);
-      event.flipped = event.kind == kAnswered ? r.u8() : 0;
-      if (drop_recorded_refusals && event.kind == kBudgetRefused) continue;
-      replay_.push_back(std::move(event));
-    }
-    if (drop_recorded_refusals && session_->has_section(section_)) {
-      // Rewrite the persisted journal without the refusals: refusals are
-      // not physical interactions, and the channel's recorded position
-      // (raw_queries) never counted them, so the stripped journal plus the
-      // recorded state stay mutually consistent. Continuation events append
-      // after the surviving prefix exactly as they would on a fresh run.
-      SectionWriter& w = session_->reset_section(section_);
-      for (const Event& event : replay_) {
-        w.u8(event.kind);
-        put_bitvec(w, event.challenge);
-        if (event.kind == kAnswered) w.u8(event.flipped);
-      }
-    }
+  if (!session_->has_section(section_)) return;
+  SectionReader r = session_->reader(section_);
+  while (!r.at_end()) {
+    BitVec x = get_bitvec(r);
+    Answer y{};
+    get_answer(r, y);
+    records_.emplace_back(std::move(x), std::move(y));
   }
-  if (session_->has_section(state_section_)) {
-    SectionReader r = session_->reader(state_section_);
-    restored_state_ = get_fault_state(r);
-    have_restored_state_ = true;
-  }
-  // An empty journal with recorded fault state cannot happen (they flush
-  // together), but if the journal is empty there is nothing to replay and
-  // the channel is already at its start position.
-  if (replay_.empty()) finish_replay();
 }
 
-void RecordingOracle::finish_replay() {
-  if (have_restored_state_ && fault_channel_ != nullptr)
-    fault_channel_->restore_state(restored_state_);
-  have_restored_state_ = false;
+template <typename Answer>
+const Answer* OracleJournal<Answer>::replay(const BitVec& x) {
+  if (cursor_ == records_.size()) return nullptr;
+  const auto& [recorded_x, recorded_y] = records_[cursor_];
+  if (recorded_x != x) {
+    StoreMetrics::get().divergence.add(1);
+    throw ReplayDivergenceError(
+        "oracle journal diverged from the live computation (section '" +
+        section_ + "', record " + std::to_string(cursor_) + ")");
+  }
+  ++cursor_;
+  StoreMetrics::get().replayed_queries.add(1);
+  return &recorded_y;
 }
 
-void RecordingOracle::append_event(std::uint8_t kind, const BitVec& x,
-                                   std::uint8_t flipped) {
+template <typename Answer>
+Answer OracleJournal<Answer>::record(const BitVec& x, Answer y) {
+  if (session_ == nullptr) return y;
   SectionWriter& w = session_->section(section_);
-  w.u8(kind);
   put_bitvec(w, x);
-  if (kind == kAnswered) w.u8(flipped);
+  put_answer(w, y);
   ++recorded_;
-  if (recorded_ % flush_every_ == 0 || termination_requested()) flush_now();
+  if (recorded_ % flush_every_ == 0 || termination_requested()) flush();
+  return y;
 }
 
-void RecordingOracle::flush_now() {
-  SectionWriter& w = session_->reset_section(state_section_);
-  if (fault_channel_ != nullptr) {
-    put_fault_state(w, fault_channel_->state());
-  } else {
-    put_fault_state(w, ml::robust::FaultyMembershipOracle::State{});
-  }
-  session_->flush();
+template <typename Answer>
+void OracleJournal<Answer>::flush() {
+  if (session_ != nullptr) session_->flush();
 }
+
+template class OracleJournal<int>;
+template class OracleJournal<BitVec>;
+
+RecordingOracle::RecordingOracle(ml::MembershipOracle& inner,
+                                 CheckpointSession* session,
+                                 std::string section, std::size_t flush_every)
+    : inner_(&inner), journal_(session, std::move(section), flush_every) {}
 
 int RecordingOracle::query_pm(const BitVec& x) {
-  if (replay_cursor_ < replay_.size()) {
-    const Event& event = replay_[replay_cursor_];
-    if (event.challenge != x) {
-      throw_divergence("section '" + section_ + "', event " +
-                       std::to_string(replay_cursor_));
-    }
-    ++replay_cursor_;
-    note_replayed_query();
-    if (replay_cursor_ == replay_.size()) finish_replay();
-    switch (event.kind) {
-      case kAnswered:
-        count_unmirrored();
-        return event.flipped != 0 ? -1 : +1;
-      case kDropped:
-        count_unmirrored();
-        throw ml::robust::TransientFaultError(
-            "oracle gave no response (transient fault)");
-      default:
-        throw ml::robust::QueryBudgetExhaustedError(
-            "oracle query budget exhausted (lockdown)");
-    }
-  }
-  try {
-    const int response = inner_->query_pm(x);
-    count_unmirrored();
-    append_event(kAnswered, x,
-                 response < 0 ? std::uint8_t{1} : std::uint8_t{0});
-    return response;
-  } catch (const ml::robust::QueryBudgetExhaustedError&) {
-    append_event(kBudgetRefused, x, 0);
-    throw;
-  } catch (const ml::robust::TransientFaultError&) {
-    count_unmirrored();
-    append_event(kDropped, x, 0);
-    throw;
-  }
+  const int* recorded = journal_.replay(x);
+  const int y =
+      recorded != nullptr ? *recorded : journal_.record(x, inner_->query_pm(x));
+  count_unmirrored();
+  return y;
 }
 
 }  // namespace pitfalls::store

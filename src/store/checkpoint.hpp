@@ -2,15 +2,18 @@
 // files (DESIGN.md §14).
 //
 // Resume model — replay, not state surgery. A checkpoint persists the one
-// thing a crashed run cannot recompute: the oracle interaction log (oracle
-// queries are the scarce resource the paper's budgets meter; CPU is not).
-// On resume the deterministic computation re-runs from the start of its
-// unit of work, and recorded oracle answers are served from the log without
+// thing a crashed run cannot recompute: what the physical oracle answered
+// (oracle queries are the scarce resource the paper's budgets meter; CPU is
+// not). On resume the deterministic computation re-runs from the start of
+// its unit of work, and recorded answers are served from the log without
 // touching the physical oracle. Because every learner/attack is a pure
 // function of (seed, oracle answer sequence) — the DESIGN.md §6 determinism
 // contract — the continued run is byte-identical to an uninterrupted one at
-// any PITFALLS_THREADS, and replayed queries charge no budget (the fault
-// channel's position is restored, not re-walked).
+// any PITFALLS_THREADS. The journal sits beneath any fault channel
+// (ml/robust), whose faults are a pure function of (seed, round,
+// challenge): a resumed channel re-walks its own stream over the replayed
+// rounds, so no channel state is persisted or restored, and replayed
+// answers reach no target.
 //
 // Failure handling, in order of preference:
 //   * missing snapshot         -> clean start (first run; not an error)
@@ -27,9 +30,10 @@
 #include <csignal>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "ml/robust/faults.hpp"
+#include "ml/oracle.hpp"
 #include "store/serialize.hpp"
 #include "support/snapshot/snapshot.hpp"
 
@@ -108,14 +112,6 @@ class CheckpointSession {
   bool appending_ = false;  // path() holds this session's last flush
 };
 
-/// Book one replay-served query into store.snapshot.replayed_queries
-/// (shared by RecordingOracle and AttackObservationJournal).
-void note_replayed_query();
-
-/// Book a divergence into store.snapshot.divergence and throw
-/// ReplayDivergenceError with `context` in the message.
-[[noreturn]] void throw_divergence(const std::string& context);
-
 /// Cooperative SIGTERM/deadline flush: install_termination_handler() makes
 /// SIGTERM set a flag instead of killing the process; checkpointed loops
 /// poll termination_requested(), flush, and exit at the next safe point.
@@ -139,72 +135,83 @@ std::unique_ptr<CheckpointSession> open_bench_session(
     const obs::BenchReporter& reporter, std::uint64_t seed,
     const std::string& tag);
 
-/// MembershipOracle decorator that journals every interaction into a
-/// session section and serves a restored journal back on resume.
+/// The record/replay core of both oracle journals (RecordingOracle below,
+/// AttackObservationJournal in store/observation_journal.hpp): one session
+/// section of (x, answer) records, in the order the oracle was asked.
+/// Answer is `int` (a ±1 membership answer, one byte on disk) or
+/// support::BitVec (a circuit output, put_bitvec).
 ///
-/// Record mode: forwards to the inner oracle, appends one self-delimiting
-/// event per interaction (answered / transient drop / budget refusal), and
-/// flushes the session every `flush_every` events (plus whenever
-/// termination_requested()). Replay mode (journal restored): serves events
-/// without touching the inner oracle — no budget is consumed and the global
-/// physical-query counter stays honest; replayed queries are booked into
-/// store.snapshot.replayed_queries. When the journal runs dry the recorded
-/// fault-channel position is restored into `fault_channel` (if given) and
-/// the oracle switches to record mode, continuing the same journal.
+/// Construction loads any records the section holds. replay(x) serves them
+/// in order: it returns the recorded answer when x is the challenge recorded
+/// at that position (booked into store.snapshot.replayed_queries), throws
+/// ReplayDivergenceError (store.snapshot.divergence) when it is not, and
+/// returns nullptr once the records run out. record(x, y) appends a live
+/// answer and flushes the session every `flush_every` records, and at once
+/// when termination_requested(). A null session makes the journal a
+/// passthrough: replay() always returns nullptr and record() writes nothing.
+template <typename Answer>
+class OracleJournal {
+ public:
+  OracleJournal(CheckpointSession* session, std::string section,
+                std::size_t flush_every);
+
+  const Answer* replay(const BitVec& x);
+  Answer record(const BitVec& x, Answer y);
+
+  /// Persist the session now (nothing without a session).
+  void flush();
+
+  /// Still serving recorded answers?
+  bool replaying() const { return cursor_ < records_.size(); }
+  /// Answers served from the journal so far.
+  std::size_t replayed() const { return cursor_; }
+  /// Answers appended by this process (after any replay).
+  std::size_t recorded() const { return recorded_; }
+
+ private:
+  CheckpointSession* session_;
+  std::string section_;
+  std::size_t flush_every_;
+  std::vector<std::pair<BitVec, Answer>> records_;
+  std::size_t cursor_ = 0;
+  std::size_t recorded_ = 0;
+};
+
+extern template class OracleJournal<int>;
+extern template class OracleJournal<BitVec>;
+
+/// MembershipOracle decorator that journals what the inner oracle — the
+/// physical token — answered, one (challenge, answer byte) record per
+/// answer, and serves a restored journal back on resume without touching
+/// the inner oracle. Stack it directly on the token, beneath any fault
+/// channel: token -> RecordingOracle -> FaultyMembershipOracle -> learner.
+/// The channel then draws its faults over replayed and live answers alike,
+/// so its budget, burst position and tallies end where an uninterrupted run
+/// leaves them, and a dropped round — which never reached the token — is
+/// re-derived, not replayed. queries() counts replayed and live answers
+/// without mirroring them into oracle.membership_queries (the token books
+/// its own). A null session makes it a passthrough.
 class RecordingOracle final : public ml::MembershipOracle {
  public:
-  /// `drop_recorded_refusals` is the budget-refill continuation switch
-  /// (DESIGN.md §16): a recorded budget refusal is a *non*-interaction — the
-  /// token never answered — so when a lockdown session resumes with a larger
-  /// CRP budget, replaying the refusal would re-trip the old lockdown even
-  /// though the refilled channel could now answer. With the flag set, any
-  /// recorded refusal events are stripped from the replay queue (and from
-  /// the persisted journal, which is rewritten without them) so the same
-  /// query is forwarded live against the refilled budget instead. Replayed
-  /// answered/dropped events still charge nothing, exactly as before.
-  RecordingOracle(ml::MembershipOracle& inner, CheckpointSession& session,
-                  std::string section,
-                  ml::robust::FaultyMembershipOracle* fault_channel = nullptr,
-                  std::size_t flush_every = 256,
-                  bool drop_recorded_refusals = false);
+  RecordingOracle(ml::MembershipOracle& inner, CheckpointSession* session,
+                  std::string section, std::size_t flush_every = 256);
 
   std::size_t num_vars() const override { return inner_->num_vars(); }
   int query_pm(const BitVec& x) override;
 
-  /// Still serving restored events?
-  bool replaying() const { return replay_cursor_ < replay_.size(); }
-  /// Events served from the restored journal so far.
-  std::size_t replayed_queries() const { return replay_cursor_; }
-  /// Events appended by this process (after any replay).
-  std::size_t recorded_events() const { return recorded_; }
+  /// Still serving restored answers?
+  bool replaying() const { return journal_.replaying(); }
+  /// Answers served from the restored journal so far.
+  std::size_t replayed_queries() const { return journal_.replayed(); }
+  /// Answers appended by this process (after any replay).
+  std::size_t recorded_events() const { return journal_.recorded(); }
 
   /// Persist the session now (also called automatically per cadence).
-  void flush_now();
+  void flush_now() { journal_.flush(); }
 
  private:
-  struct Event {
-    std::uint8_t kind;
-    BitVec challenge;
-    std::uint8_t flipped;  // kAnswered payload: 1 means response -1
-  };
-  static constexpr std::uint8_t kAnswered = 0;
-  static constexpr std::uint8_t kDropped = 1;
-  static constexpr std::uint8_t kBudgetRefused = 2;
-
-  void append_event(std::uint8_t kind, const BitVec& x, std::uint8_t flipped);
-  void finish_replay();
-
   ml::MembershipOracle* inner_;
-  CheckpointSession* session_;
-  std::string section_;
-  std::string state_section_;
-  ml::robust::FaultyMembershipOracle* fault_channel_;
-  std::size_t flush_every_;
-  std::vector<Event> replay_;
-  std::size_t replay_cursor_ = 0;
-  std::size_t recorded_ = 0;
-  bool have_restored_state_ = false;
-  ml::robust::FaultyMembershipOracle::State restored_state_;
+  OracleJournal<int> journal_;
 };
 
 /// Cell-level resume for bench sweeps, and the one place a bench's cell
@@ -216,8 +223,7 @@ class RecordingOracle final : public ml::MembershipOracle {
 /// silent divergence. Either way the cell ends with exit_if_terminating().
 ///
 /// Conventions: the outcome lives in "<name>.outcome"; `run`'s
-/// RecordingOracle should journal into "<name>.log" (its fault-channel
-/// state rides in "<name>.log.oracle").
+/// RecordingOracle should journal into "<name>.log".
 template <typename T, typename RunFn, typename PutFn, typename GetFn>
 T checkpointed_unit(CheckpointSession* session, const std::string& name,
                     RunFn&& run, PutFn&& put, GetFn&& get) {
@@ -229,11 +235,7 @@ T checkpointed_unit(CheckpointSession* session, const std::string& name,
     exit_if_terminating(*session);
     return stored;
   }
-  const std::string log_section = name + ".log";
-  const auto drop_log = [&] {
-    session->remove_section(log_section);
-    session->remove_section(log_section + ".oracle");
-  };
+  const auto drop_log = [&] { session->remove_section(name + ".log"); };
   T result = [&]() -> T {
     try {
       return run();

@@ -96,21 +96,4 @@ ml::SparseFourierHypothesis get_sparse_fourier(SectionReader& r) {
                                      std::move(coefficients));
 }
 
-void put_fault_state(SectionWriter& w,
-                     const ml::robust::FaultyMembershipOracle::State& s) {
-  w.u64(s.raw_queries);
-  w.u64(s.burst_remaining);
-  w.u64(s.flips);
-  w.u64(s.drops);
-}
-
-ml::robust::FaultyMembershipOracle::State get_fault_state(SectionReader& r) {
-  ml::robust::FaultyMembershipOracle::State s;
-  s.raw_queries = static_cast<std::size_t>(r.u64());
-  s.burst_remaining = static_cast<std::size_t>(r.u64());
-  s.flips = static_cast<std::size_t>(r.u64());
-  s.drops = static_cast<std::size_t>(r.u64());
-  return s;
-}
-
 }  // namespace pitfalls::store

@@ -12,7 +12,6 @@
 
 #include "ml/linear_model.hpp"
 #include "ml/lmn.hpp"
-#include "ml/robust/faults.hpp"
 #include "ml/robust/outcome.hpp"
 #include "support/snapshot/snapshot.hpp"
 
@@ -39,11 +38,7 @@ void put_sparse_fourier(SectionWriter& w,
                         const ml::SparseFourierHypothesis& h);
 ml::SparseFourierHypothesis get_sparse_fourier(SectionReader& r);
 
-// ---- robust-learning state ------------------------------------------------
-
-void put_fault_state(SectionWriter& w,
-                     const ml::robust::FaultyMembershipOracle::State& s);
-ml::robust::FaultyMembershipOracle::State get_fault_state(SectionReader& r);
+// ---- robust-learning outcomes ---------------------------------------------
 
 /// LearnOutcome<H> with a caller-supplied hypothesis codec, so one template
 /// covers all six learners' outcome types.

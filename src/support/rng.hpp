@@ -66,21 +66,6 @@ class Rng {
   /// A fresh independent Rng derived from this one (for sub-components).
   Rng split();
 
-  /// Complete engine state — the xoshiro words plus the Marsaglia spare —
-  /// for checkpoint/resume (src/store). restore_state() reproduces the
-  /// draw sequence bit-for-bit from the captured point.
-  struct State {
-    std::array<std::uint64_t, 4> words{};
-    double spare_gaussian = 0.0;
-    bool has_spare = false;
-  };
-  State state() const { return {state_, spare_gaussian_, has_spare_}; }
-  void restore_state(const State& s) {
-    state_ = s.words;
-    spare_gaussian_ = s.spare_gaussian;
-    has_spare_ = s.has_spare;
-  }
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

@@ -151,6 +151,13 @@ void SectionWriter::u64(std::uint64_t v) {
     bytes_.push_back(static_cast<char>((v >> shift) & 0xFFU));
 }
 
+void SectionWriter::patch_u32(std::size_t at, std::uint32_t v) {
+  PITFALLS_REQUIRE(at <= bytes_.size() && bytes_.size() - at >= 4,
+                   "patch past the end of the section");
+  for (int shift = 0; shift < 32; shift += 8, ++at)
+    bytes_[at] = static_cast<char>((v >> shift) & 0xFFU);
+}
+
 void SectionWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void SectionWriter::str(std::string_view s) {
@@ -253,46 +260,48 @@ std::vector<std::string> SnapshotWriter::section_names() const {
   return names;
 }
 
-std::string SnapshotWriter::frame(bool compact) const {
-  SectionWriter body;
+void SnapshotWriter::append_frame(SectionWriter& out, bool compact) const {
+  const std::size_t at = out.size();
+  out.u64(0);  // body length and crc32, patched below
   if (!compact) {
     for (const std::string& name : removed_) {
-      body.u8(kRemove);
-      body.str(name);
+      out.u8(kRemove);
+      out.str(name);
     }
   }
   for (const Section& s : sections_) {
     const std::string& bytes = s.bytes.bytes();
     if (compact || s.whole) {
-      body.u8(kReplace);
-      body.str(s.name);
-      body.str(bytes);
+      out.u8(kReplace);
+      out.str(s.name);
+      out.str(bytes);
     } else if (s.persisted < bytes.size()) {
-      body.u8(kAppend);
-      body.str(s.name);
-      body.str(std::string_view(bytes).substr(s.persisted));
+      out.u8(kAppend);
+      out.str(s.name);
+      out.str(std::string_view(bytes).substr(s.persisted));
     }
   }
+  const std::string_view body = std::string_view(out.bytes()).substr(at + 8);
   PITFALLS_REQUIRE(body.size() <= 0xFFFFFFFFULL, "frame too large for u32");
-  SectionWriter out;
-  out.u32(static_cast<std::uint32_t>(body.size()));
-  out.u32(crc32(body.bytes()));
-  out.raw(body.bytes());
-  return out.bytes();
+  out.patch_u32(at, static_cast<std::uint32_t>(body.size()));
+  out.patch_u32(at + 4, crc32(body));
 }
 
 std::string SnapshotWriter::encode() const {
-  SectionWriter header;
-  header.raw(std::string_view(kMagic, sizeof kMagic));
-  header.u32(kFormatVersion);
-  header.u64(seed_);
-  header.str(provenance_);
-  header.u32(crc32(header.bytes()));
-  return header.bytes() + frame(/*compact=*/true);
+  SectionWriter image;
+  image.raw(std::string_view(kMagic, sizeof kMagic));
+  image.u32(kFormatVersion);
+  image.u64(seed_);
+  image.str(provenance_);
+  image.u32(crc32(image.bytes()));
+  append_frame(image, /*compact=*/true);
+  return image.take();
 }
 
 std::string SnapshotWriter::pending_frame() const {
-  return frame(/*compact=*/false);
+  SectionWriter frame;
+  append_frame(frame, /*compact=*/false);
+  return frame.take();
 }
 
 void SnapshotWriter::mark_persisted() {

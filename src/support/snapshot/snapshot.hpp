@@ -39,6 +39,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/require.hpp"
@@ -110,6 +111,11 @@ class SectionWriter {
   void str(std::string_view s);
   /// Raw bytes, no prefix (caller knows the length from its own framing).
   void raw(std::string_view s) { bytes_.append(s); }
+  /// Overwrite the u32 at byte offset `at`: a length or checksum written as
+  /// a placeholder before the bytes it describes.
+  void patch_u32(std::size_t at, std::uint32_t v);
+  /// Move the bytes out, leaving the writer empty.
+  std::string take() { return std::exchange(bytes_, {}); }
 
   const std::string& bytes() const { return bytes_; }
   bool empty() const { return bytes_.empty(); }
@@ -202,7 +208,9 @@ class SnapshotWriter {
 
   std::size_t index_of(const std::string& name) const;  // size(): absent
   Section& get(const std::string& name);                 // get-or-create
-  std::string frame(bool compact) const;
+  /// Append one frame to `out` in place: an 8-byte placeholder, the ops,
+  /// then the body length and crc32 patched over the placeholder.
+  void append_frame(SectionWriter& out, bool compact) const;
   void apply(std::string_view body);
 
   std::uint64_t seed_;

@@ -2,8 +2,8 @@
 // byte-stability across PITFALLS_THREADS, token-fleet LRU eviction and
 // re-materialization determinism, malformed-request rejection, cooperative
 // termination drain, journaled-outcome resume from the one-section job
-// journal, the budget-refill continuation contract (replayed queries
-// charge nothing), million-deep request lines, per-job work caps,
+// journal, the continuation contract (replayed queries charge nothing, and
+// a continued session gives the outcome of its own spec), million-deep request lines, per-job work caps,
 // location-free refusal messages, fleets refused at construction, and the
 // one-pass wire decode against the DOM path it replaced.
 #include <gtest/gtest.h>
@@ -866,6 +866,131 @@ TEST(ServeDaemon, BudgetRefillContinuationChargesNothingForReplayedQueries) {
   EXPECT_EQ(u64_of(fresh_outcome, "collected"), 120u);
   EXPECT_GT(charged_fresh, charged_refill)
       << "the uninterrupted run pays for all 120 queries";
+}
+
+
+// A continuation follows its own spec (DESIGN.md §16). The session journals
+// what the token answered, beneath the fault channel, and the continuation
+// re-walks its own channel over those answers, so its outcome line is the
+// one the same spec gives without a session. The three runs: leg 1 writes
+// session "C" under `first`, leg 2 continues it under `next` (id "Cb"), and
+// a daemon with no checkpoint runs leg 2's spec without a session.
+struct Continuation {
+  ServeRun first;
+  ServeRun next;
+  ServeRun fresh;
+};
+
+std::string continuation_job(const std::string& id, const std::string& policy,
+                             bool session) {
+  return attack_job(id, 7, 11, 120, 80,
+                    ",\"policy\":" + policy +
+                        (session ? R"(,"session":"C")" : ""));
+}
+
+Continuation run_continuation(const TempCheckpoint& file,
+                              const std::string& first,
+                              const std::string& next) {
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.checkpoint_path = file.path();
+  Continuation runs;
+  runs.first =
+      run_daemon(config, {continuation_job("Ca", first, true), kDrain});
+  config.resume = true;
+  runs.next = run_daemon(config, {continuation_job("Cb", next, true), kDrain});
+  serve::DaemonConfig fresh_config;
+  fresh_config.fleet = small_fleet();
+  runs.fresh =
+      run_daemon(fresh_config, {continuation_job("Cb", next, false), kDrain});
+  return runs;
+}
+
+// A smaller budget locks the continuation down at that budget, though the
+// journal holds more answers than the budget allows.
+TEST(ServeDaemon, ContinuationUnderASmallerBudgetLocksDownAtThatBudget) {
+  TempCheckpoint file("shrink", {"C"});
+  const Continuation runs =
+      run_continuation(file, R"({"flip_rate":0.03,"query_budget":300})",
+                       R"({"flip_rate":0.03,"query_budget":60})");
+  ASSERT_EQ(runs.first.status, 0);
+  ASSERT_EQ(runs.next.status, 0);
+  EXPECT_EQ(u64_of(find_line(runs.first.lines, "outcome", "Ca"), "collected"),
+            120u);
+  const std::string outcome = find_line(runs.next.lines, "outcome", "Cb");
+  ASSERT_FALSE(outcome.empty()) << runs.next.joined;
+  EXPECT_EQ(outcome, find_line(runs.fresh.lines, "outcome", "Cb"));
+  EXPECT_EQ(str_of(outcome, "status"), "lockdown");
+  EXPECT_EQ(u64_of(outcome, "collected"), 60u);
+  EXPECT_EQ(u64_of(outcome, "queries"), 60u);
+  EXPECT_EQ(u64_of(find_line(runs.next.lines, "obs", "Cb"), "replayed"), 60u);
+}
+
+// Another flip rate draws its own flips over the journaled answers.
+TEST(ServeDaemon, ContinuationUnderAnotherFlipRateMatchesTheFreshRun) {
+  TempCheckpoint file("reflip", {"C"});
+  const Continuation runs =
+      run_continuation(file, R"({"flip_rate":0.03,"query_budget":60})",
+                       R"({"flip_rate":0.2,"query_budget":300})");
+  ASSERT_EQ(runs.first.status, 0);
+  ASSERT_EQ(runs.next.status, 0);
+  EXPECT_EQ(str_of(find_line(runs.first.lines, "outcome", "Ca"), "status"),
+            "lockdown");
+  const std::string outcome = find_line(runs.next.lines, "outcome", "Cb");
+  ASSERT_FALSE(outcome.empty()) << runs.next.joined;
+  EXPECT_EQ(outcome, find_line(runs.fresh.lines, "outcome", "Cb"));
+  const std::string obs_next = find_line(runs.next.lines, "obs", "Cb");
+  const std::string obs_fresh = find_line(runs.fresh.lines, "obs", "Cb");
+  EXPECT_EQ(u64_of(obs_next, "replayed"), 60u);
+  EXPECT_EQ(u64_of(obs_next, "queries"), u64_of(obs_fresh, "queries"));
+  EXPECT_EQ(u64_of(obs_next, "flips"), u64_of(obs_fresh, "flips"));
+}
+
+// Another drop rate sends other challenges to the token, so the journal
+// diverges: the job gets an error line and no outcome, the session file
+// keeps its bytes, and a resubmission under the first policy continues it.
+TEST(ServeDaemon, ContinuationUnderAnotherDropRateIsRefusedAndKeepsTheSession) {
+  TempCheckpoint file("redrop", {"C"});
+  const std::string first = R"({"drop_rate":0.05,"query_budget":60})";
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.checkpoint_path = file.path();
+  const ServeRun recorded =
+      run_daemon(config, {continuation_job("Ca", first, true), kDrain});
+  ASSERT_EQ(recorded.status, 0);
+  const std::string session_path = file.path() + ".sess-C.snap";
+  const std::string session_bytes =
+      support::snapshot::read_file_bytes(session_path);
+
+  config.resume = true;
+  const std::uint64_t divergence = counter_value("store.snapshot.divergence");
+  const ServeRun refused = run_daemon(
+      config, {continuation_job("Cb", R"({"drop_rate":0.2,"query_budget":300})",
+                                true),
+               kDrain});
+  EXPECT_EQ(refused.status, 0);
+  EXPECT_EQ(counter_value("store.snapshot.divergence"), divergence + 1);
+  EXPECT_EQ(count_type(refused.lines, "error"), 1u) << refused.joined;
+  EXPECT_EQ(count_type(refused.lines, "outcome"), 0u) << refused.joined;
+  const std::string error = find_line(refused.lines, "error", "Cb");
+  ASSERT_FALSE(error.empty()) << refused.joined;
+  EXPECT_NE(str_of(error, "message").find("diverged"), std::string::npos);
+  EXPECT_EQ(support::snapshot::read_file_bytes(session_path), session_bytes)
+      << "a refused continuation must leave the session as it was";
+
+  const ServeRun resumed =
+      run_daemon(config, {continuation_job("Cc", first, true), kDrain});
+  serve::DaemonConfig fresh_config;
+  fresh_config.fleet = small_fleet();
+  const ServeRun fresh =
+      run_daemon(fresh_config, {continuation_job("Cc", first, false), kDrain});
+  ASSERT_EQ(resumed.status, 0);
+  const std::string outcome = find_line(resumed.lines, "outcome", "Cc");
+  ASSERT_FALSE(outcome.empty()) << resumed.joined;
+  EXPECT_EQ(outcome, find_line(fresh.lines, "outcome", "Cc"));
+  EXPECT_EQ(u64_of(find_line(resumed.lines, "obs", "Cc"), "replayed"),
+            u64_of(outcome, "collected"))
+      << "every answer of the first policy comes from the journal";
 }
 
 

@@ -19,6 +19,7 @@
 #include "circuit/generator.hpp"
 #include "lock/combinational.hpp"
 #include "ml/features.hpp"
+#include "ml/robust/faults.hpp"
 #include "ml/robust/learners.hpp"
 #include "obs/metrics.hpp"
 #include "puf/arbiter.hpp"
@@ -407,17 +408,7 @@ TEST(StoreCodecs, HypothesisClassesRoundTrip) {
             std::bit_cast<std::uint64_t>(fourier.approximation(probe)));
 }
 
-TEST(StoreCodecs, FaultStateAndOutcomeRoundTrip) {
-  const FaultyMembershipOracle::State state{17, 3, 5, 2};
-  SectionWriter ws;
-  store::put_fault_state(ws, state);
-  SectionReader rs(ws.bytes(), "t");
-  const auto state2 = store::get_fault_state(rs);
-  EXPECT_EQ(state2.raw_queries, 17u);
-  EXPECT_EQ(state2.burst_remaining, 3u);
-  EXPECT_EQ(state2.flips, 5u);
-  EXPECT_EQ(state2.drops, 2u);
-
+TEST(StoreCodecs, OutcomeRoundTrip) {
   LearnOutcome<ml::LinearModel> outcome;
   outcome.status = ml::robust::LearnStatus::budget_exhausted;
   outcome.best_hypothesis.emplace(
@@ -706,7 +697,7 @@ TEST(RecordingOracle, ReplayServesRecordedAnswersWithoutPhysicalQueries) {
   {
     store::CheckpointSession session(file.path(), 7, "p", true);
     ml::FunctionMembershipOracle inner(target);
-    store::RecordingOracle oracle(inner, session, "u.log", nullptr, 8);
+    store::RecordingOracle oracle(inner, &session, "u.log", 8);
     for (const BitVec& x : challenges) recorded.push_back(oracle.query_pm(x));
     oracle.flush_now();
     EXPECT_EQ(inner.queries(), kQueries);
@@ -718,7 +709,7 @@ TEST(RecordingOracle, ReplayServesRecordedAnswersWithoutPhysicalQueries) {
       counter_value("store.snapshot.replayed_queries");
   store::CheckpointSession session(file.path(), 7, "p", true);
   ml::FunctionMembershipOracle inner(target);
-  store::RecordingOracle oracle(inner, session, "u.log", nullptr, 8);
+  store::RecordingOracle oracle(inner, &session, "u.log", 8);
   EXPECT_TRUE(oracle.replaying());
   for (std::size_t i = 0; i < kQueries; ++i)
     EXPECT_EQ(oracle.query_pm(challenges[i]), recorded[i]) << "query " << i;
@@ -731,10 +722,10 @@ TEST(RecordingOracle, ReplayServesRecordedAnswersWithoutPhysicalQueries) {
 }
 
 TEST(RecordingOracle, BudgetIsNotDoubleChargedAcrossResume) {
-  // Satellite regression: a budget-B channel interrupted after k queries
-  // must have exactly B-k answers left after resume — replayed queries
-  // charge nothing, and the fault streams continue from the recorded
-  // position as if the run had never stopped.
+  // A budget-B channel interrupted after k queries must have exactly B-k
+  // answers left after resume. The journal sits beneath the channel: the
+  // fresh channel re-walks its fault stream over the k replayed answers,
+  // which reach no token, and continues as if the run had never stopped.
   TempSnapshot file("budget");
   Rng setup(13);
   const puf::ArbiterPuf target(8, 0.0, setup);
@@ -760,23 +751,23 @@ TEST(RecordingOracle, BudgetIsNotDoubleChargedAcrossResume) {
   {  // Interrupted run: k queries, flush, "crash".
     store::CheckpointSession session(file.path(), 7, "p", true);
     ml::FunctionMembershipOracle inner(target);
-    FaultyMembershipOracle faulty(inner, fc, 4242);
-    store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 4);
+    store::RecordingOracle journal(inner, &session, "u.log", 4);
+    FaultyMembershipOracle oracle(journal, fc, 4242);
     for (std::size_t i = 0; i < kBeforeCrash; ++i)
       EXPECT_EQ(oracle.query_pm(challenges[i]), reference[i]);
-    oracle.flush_now();
-    EXPECT_EQ(faulty.remaining_budget(), kBudget - kBeforeCrash);
+    journal.flush_now();
+    EXPECT_EQ(oracle.remaining_budget(), kBudget - kBeforeCrash);
   }
 
-  // Resume: a FRESH fault channel (budget back at B) plus the journal.
+  // Resume: a FRESH fault channel (budget back at B) over the journal.
   store::CheckpointSession session(file.path(), 7, "p", true);
   ml::FunctionMembershipOracle inner(target);
-  FaultyMembershipOracle faulty(inner, fc, 4242);
-  store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 4);
+  store::RecordingOracle journal(inner, &session, "u.log", 4);
+  FaultyMembershipOracle oracle(journal, fc, 4242);
   for (std::size_t i = 0; i < kBeforeCrash; ++i)
     EXPECT_EQ(oracle.query_pm(challenges[i]), reference[i]);
   // Replay complete: the channel sits exactly where the crash left it.
-  EXPECT_EQ(faulty.remaining_budget(), kBudget - kBeforeCrash);
+  EXPECT_EQ(oracle.remaining_budget(), kBudget - kBeforeCrash);
   EXPECT_EQ(inner.queries(), 0u);
   // The remaining budget serves the remaining queries with the same fault
   // pattern as the uninterrupted run, then refuses.
@@ -786,6 +777,9 @@ TEST(RecordingOracle, BudgetIsNotDoubleChargedAcrossResume) {
   EXPECT_EQ(inner.queries(), kBudget - kBeforeCrash);
 }
 
+// Drops and refusals never reach the token, so the journal holds answers
+// only; on resume the re-walked channel raises the same drops and refusals
+// at the same positions, and the answers replay.
 TEST(RecordingOracle, BudgetRefusalsAndDropsReplayAsEvents) {
   TempSnapshot file("events");
   Rng setup(17);
@@ -802,8 +796,8 @@ TEST(RecordingOracle, BudgetRefusalsAndDropsReplayAsEvents) {
   {
     store::CheckpointSession session(file.path(), 7, "p", true);
     ml::FunctionMembershipOracle inner(target);
-    FaultyMembershipOracle faulty(inner, fc, 99);
-    store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 2);
+    store::RecordingOracle journal(inner, &session, "u.log", 2);
+    FaultyMembershipOracle oracle(journal, fc, 99);
     for (const BitVec& x : challenges) {
       try {
         kinds.push_back(oracle.query_pm(x));
@@ -813,15 +807,20 @@ TEST(RecordingOracle, BudgetRefusalsAndDropsReplayAsEvents) {
         kinds.push_back(9);
       }
     }
-    oracle.flush_now();
+    journal.flush_now();
   }
   EXPECT_NE(std::count(kinds.begin(), kinds.end(), 9), 0)
       << "test setup never exhausted the budget";
+  EXPECT_NE(std::count(kinds.begin(), kinds.end(), 0), 0)
+      << "test setup never dropped a round";
+  const auto answered = static_cast<std::size_t>(
+      std::count(kinds.begin(), kinds.end(), +1) +
+      std::count(kinds.begin(), kinds.end(), -1));
 
   store::CheckpointSession session(file.path(), 7, "p", true);
   ml::FunctionMembershipOracle inner(target);
-  FaultyMembershipOracle faulty(inner, fc, 99);
-  store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 2);
+  store::RecordingOracle journal(inner, &session, "u.log", 2);
+  FaultyMembershipOracle oracle(journal, fc, 99);
   for (std::size_t i = 0; i < challenges.size(); ++i) {
     int kind = 0;
     try {
@@ -834,12 +833,14 @@ TEST(RecordingOracle, BudgetRefusalsAndDropsReplayAsEvents) {
     EXPECT_EQ(kind, kinds[i]) << "event " << i;
   }
   EXPECT_EQ(inner.queries(), 0u);
+  EXPECT_EQ(journal.replayed_queries(), answered)
+      << "the journal should hold the token's answers and nothing else";
 }
 
-// Satellite regression (DESIGN.md §16): a lockdown-tripped recording can be
-// continued against a refilled budget. Recorded refusals are stripped from
-// the replay queue (drop_recorded_refusals), recorded answers replay free,
-// and only the continuation queries reach the physical oracle.
+// DESIGN.md §16: a lockdown-tripped recording can be continued against a
+// larger budget. The refusal never reached the token, so the journal holds
+// only the answers: a channel built with the larger budget re-walks them
+// for free, and only the continuation queries reach the physical oracle.
 TEST(RecordingOracle, RefilledBudgetContinuationChargesOnlyLiveQueries) {
   TempSnapshot file("refill");
   Rng setup(23);
@@ -856,8 +857,8 @@ TEST(RecordingOracle, RefilledBudgetContinuationChargesOnlyLiveQueries) {
   {
     store::CheckpointSession session(file.path(), 7, "p", true);
     ml::FunctionMembershipOracle inner(target);
-    FaultyMembershipOracle faulty(inner, fc, 5);
-    store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 2);
+    store::RecordingOracle journal(inner, &session, "u.log", 2);
+    FaultyMembershipOracle oracle(journal, fc, 5);
     for (const BitVec& x : challenges) {
       try {
         first_answers.push_back(oracle.query_pm(x));
@@ -865,24 +866,25 @@ TEST(RecordingOracle, RefilledBudgetContinuationChargesOnlyLiveQueries) {
         break;
       }
     }
-    oracle.flush_now();
+    journal.flush_now();
   }
   ASSERT_EQ(first_answers.size(), 5u);
 
-  // Leg 2: refilled channel, refusals stripped. The recorded prefix replays
+  // Leg 2: a channel with the larger budget. The recorded prefix replays
   // byte-identically without touching the inner oracle; the remaining
-  // challenges are answered live against the refilled budget.
+  // challenges are answered live against the larger budget.
+  FaultConfig larger = fc;
+  larger.query_budget = 20;
   store::CheckpointSession session(file.path(), 7, "p", true);
   ml::FunctionMembershipOracle inner(target);
-  FaultyMembershipOracle faulty(inner, fc, 5);
-  faulty.refill_budget(20);
-  store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 2, true);
+  store::RecordingOracle journal(inner, &session, "u.log", 2);
+  FaultyMembershipOracle oracle(journal, larger, 5);
   std::vector<int> answers;
   for (const BitVec& x : challenges) answers.push_back(oracle.query_pm(x));
   ASSERT_EQ(answers.size(), challenges.size());
   for (std::size_t i = 0; i < first_answers.size(); ++i)
     EXPECT_EQ(answers[i], first_answers[i]) << "replayed answer " << i;
-  EXPECT_EQ(oracle.replayed_queries(), 5u);
+  EXPECT_EQ(journal.replayed_queries(), 5u);
   EXPECT_EQ(inner.queries(), challenges.size() - first_answers.size());
 }
 
@@ -893,14 +895,14 @@ TEST(RecordingOracle, DivergenceThrowsAndBooksTheMetric) {
   {
     store::CheckpointSession session(file.path(), 7, "p", true);
     ml::FunctionMembershipOracle inner(target);
-    store::RecordingOracle oracle(inner, session, "u.log", nullptr, 2);
+    store::RecordingOracle oracle(inner, &session, "u.log", 2);
     (void)oracle.query_pm(make_bitvec(8, 1));
     oracle.flush_now();
   }
   const std::uint64_t divergence0 = counter_value("store.snapshot.divergence");
   store::CheckpointSession session(file.path(), 7, "p", true);
   ml::FunctionMembershipOracle inner(target);
-  store::RecordingOracle oracle(inner, session, "u.log", nullptr, 2);
+  store::RecordingOracle oracle(inner, &session, "u.log", 2);
   EXPECT_THROW(oracle.query_pm(make_bitvec(8, 2)),
                store::ReplayDivergenceError);
   EXPECT_EQ(counter_value("store.snapshot.divergence"), divergence0 + 1);
@@ -992,16 +994,10 @@ TEST(ResumeDeterminism, LearnerRerunFromJournalIsByteIdentical) {
   const auto run_once = [&](store::CheckpointSession* session,
                             std::size_t& physical) {
     ml::FunctionMembershipOracle inner(target);
-    FaultyMembershipOracle faulty(inner, fc, 31337);
+    store::RecordingOracle journal(inner, session, "cell.log", 64);
+    FaultyMembershipOracle faulty(journal, fc, 31337);
     Rng rng(41);
-    if (session == nullptr) {
-      const auto o = robust_perceptron(faulty, ml::parity_with_bias, config,
-                                       rng);
-      physical = inner.queries();
-      return o;
-    }
-    store::RecordingOracle journal(faulty, *session, "cell.log", &faulty, 64);
-    const auto o = robust_perceptron(journal, ml::parity_with_bias, config,
+    const auto o = robust_perceptron(faulty, ml::parity_with_bias, config,
                                      rng);
     journal.flush_now();
     physical = inner.queries();
@@ -1034,9 +1030,9 @@ TEST(ResumeDeterminism, LearnerRerunFromJournalIsByteIdentical) {
 TEST(ResumeDeterminism, TornLastFrameResumesFromThePreviousFlush) {
   // A crash between a frame's append and its fsync can leave any prefix of
   // that frame on disk. Cut the learner's log inside its last frame: the
-  // rerun resumes from the previous flush (journal and fault-channel
-  // position land in one frame, so together), replays it for free, asks the
-  // physical oracle only for the rest, and ends byte-identical.
+  // rerun resumes from the previous flush, replays it for free (the fault
+  // channel re-walks its stream over it), asks the physical oracle only for
+  // the rest, and ends byte-identical.
   TempSnapshot file("torn_learner");
   Rng setup(7);
   const puf::ArbiterPuf target(10, 0.0, setup);
@@ -1054,17 +1050,13 @@ TEST(ResumeDeterminism, TornLastFrameResumesFromThePreviousFlush) {
   };
   const auto run_once = [&](store::CheckpointSession* session) {
     ml::FunctionMembershipOracle inner(target);
-    FaultyMembershipOracle faulty(inner, fc, 31337);
+    store::RecordingOracle journal(inner, session, "cell.log", 64);
+    FaultyMembershipOracle faulty(journal, fc, 31337);
     Rng rng(41);
     Run run;
-    if (session == nullptr) {
-      run.outcome = robust_perceptron(faulty, ml::parity_with_bias, config, rng);
-    } else {
-      store::RecordingOracle journal(faulty, *session, "cell.log", &faulty, 64);
-      run.outcome = robust_perceptron(journal, ml::parity_with_bias, config, rng);
-      journal.flush_now();
-      run.replayed = journal.replayed_queries();
-    }
+    run.outcome = robust_perceptron(faulty, ml::parity_with_bias, config, rng);
+    journal.flush_now();
+    run.replayed = journal.replayed_queries();
     run.physical = inner.queries();
     return run;
   };
@@ -1294,7 +1286,7 @@ TEST(Termination, RequestFlagTriggersJournalFlush) {
     store::CheckpointSession session(file.path(), 7, "p", true);
     ml::FunctionMembershipOracle inner(target);
     // Cadence of 1000 would never flush on its own in 3 queries...
-    store::RecordingOracle oracle(inner, session, "u.log", nullptr, 1000);
+    store::RecordingOracle oracle(inner, &session, "u.log", 1000);
     (void)oracle.query_pm(make_bitvec(8, 1));
     EXPECT_EQ(counter_value("store.snapshot.writes"), writes0);
     store::request_termination();  // ...until the termination flag is up.
@@ -1306,7 +1298,7 @@ TEST(Termination, RequestFlagTriggersJournalFlush) {
     // The flushed journal is complete: both events replay.
     store::CheckpointSession session(file.path(), 7, "p", true);
     ml::FunctionMembershipOracle inner(target);
-    store::RecordingOracle oracle(inner, session, "u.log", nullptr, 1000);
+    store::RecordingOracle oracle(inner, &session, "u.log", 1000);
     (void)oracle.query_pm(make_bitvec(8, 1));
     (void)oracle.query_pm(make_bitvec(8, 2));
     EXPECT_EQ(oracle.replayed_queries(), 2u);
