@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "core/bounds.hpp"
-#include "core/experiment.hpp"
 #include "ml/features.hpp"
 #include "ml/logistic.hpp"
 #include "ml/xor_model.hpp"

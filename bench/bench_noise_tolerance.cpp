@@ -62,10 +62,11 @@ int main(int argc, char** argv) {
   // outcomes; a killed run resumed from the snapshot re-walks the in-flight
   // cell's channel over the journaled answers (asking the token nothing
   // twice) and skips completed cells, ending byte-identical to an
-  // uninterrupted run. The tag's version names the journal layout, so a
-  // snapshot in another layout starts clean instead of misparsing.
+  // uninterrupted run. The tag's version names the journal layout and the
+  // outcome encoding, so a snapshot in another layout starts clean instead
+  // of misparsing.
   const auto session = store::open_bench_session(reporter, 7,
-                                                 "noise_tolerance.v2");
+                                                 "noise_tolerance.v3");
 
   std::cout << "== Attribute-noise tolerance: LMN vs Perceptron ==\n"
             << "(2-XOR arbiter PUF, n=12, feature-space view, noisy "

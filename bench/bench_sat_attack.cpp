@@ -18,10 +18,10 @@
 
 #include "attack/sat_attack.hpp"
 #include "circuit/generator.hpp"
-#include "core/experiment.hpp"
 #include "lock/combinational.hpp"
 #include "obs/bench_reporter.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "store/checkpoint.hpp"
 #include "store/observation_journal.hpp"
 #include "support/rng.hpp"
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
             CircuitOracle live = CircuitOracle::from_netlist(workload.netlist);
             store::AttackObservationJournal journal(live, session.get(),
                                                     cell + ".log");
-            core::Stopwatch watch;
+            obs::Stopwatch watch;
             AttackCell out;
             out.result =
                 attack::sat_attack(locked, journal.oracle(), attack_config);

@@ -17,7 +17,6 @@
 #include <iostream>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "ml/chow.hpp"
 #include "obs/bench_reporter.hpp"
 #include "ml/features.hpp"

@@ -1,7 +1,9 @@
 // Structural netlist analysis: depth, fanout, output cones and dead logic,
 // constant propagation, and SAT-free exhaustive equivalence for small
-// circuits. The locking code uses cones to avoid keying dead logic; the
-// benches use the statistics to describe their workloads.
+// circuits. In the library only the attacks use it: their key miter
+// (attack/detail.hpp) burns each observed input word into the locked
+// netlist with specialize() and folds the constants with simplify() before
+// encoding. The statistics and the equivalence check serve the tests.
 #pragma once
 
 #include <vector>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "boolfn/fourier.hpp"
 #include "obs/metrics.hpp"
 #include "support/require.hpp"
 #include "support/stats.hpp"
@@ -18,42 +19,25 @@ double ChowParameters::degree1_weight() const {
 ChowParameters estimate_chow(const std::vector<BitVec>& challenges,
                              const std::vector<int>& responses) {
   PITFALLS_REQUIRE(!challenges.empty(), "empty CRP set");
-  PITFALLS_REQUIRE(challenges.size() == responses.size(),
-                   "challenge/response count mismatch");
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("ml.chow.estimates").add(1);
   registry.counter("ml.chow.crps_used").add(challenges.size());
+  // The Chow subsets: the empty set, then {0}, ..., {n-1}.
   const std::size_t n = challenges.front().size();
-  ChowParameters chow;
-  chow.degree1.assign(n, 0.0);
-  for (std::size_t s = 0; s < challenges.size(); ++s) {
-    const double y = static_cast<double>(responses[s]);
-    chow.degree0 += y;
-    for (std::size_t i = 0; i < n; ++i)
-      chow.degree1[i] += y * static_cast<double>(challenges[s].pm_one(i));
-  }
-  const double m = static_cast<double>(challenges.size());
-  chow.degree0 /= m;
-  for (auto& c : chow.degree1) c /= m;
-  return chow;
+  std::vector<BitVec> subsets(n + 1, BitVec(n));
+  for (std::size_t i = 0; i < n; ++i) subsets[i + 1].set(i, true);
+  const std::vector<double> coefficients =
+      boolfn::estimate_coefficients_from_data(challenges, responses, subsets);
+  return {coefficients.front(),
+          std::vector<double>(coefficients.begin() + 1, coefficients.end())};
 }
 
 ChowParameters exact_chow(const boolfn::TruthTable& table) {
-  const std::size_t n = table.num_vars();
+  const auto spectrum = boolfn::FourierSpectrum::of(table);
   ChowParameters chow;
-  chow.degree1.assign(n, 0.0);
-  const std::uint64_t rows = table.num_rows();
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    const double y = static_cast<double>(table.at(row));
-    chow.degree0 += y;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double xi = ((row >> i) & 1ULL) ? -1.0 : +1.0;
-      chow.degree1[i] += y * xi;
-    }
-  }
-  const double m = static_cast<double>(rows);
-  chow.degree0 /= m;
-  for (auto& c : chow.degree1) c /= m;
+  chow.degree0 = spectrum.coefficient(0);
+  for (std::size_t i = 0; i < table.num_vars(); ++i)
+    chow.degree1.push_back(spectrum.coefficient(std::uint64_t{1} << i));
   return chow;
 }
 

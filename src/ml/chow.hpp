@@ -33,11 +33,13 @@ struct ChowParameters {
   double degree1_weight() const;
 };
 
-/// Empirical Chow parameters from a labelled CRP set (+/-1 responses).
+/// Empirical Chow parameters from a labelled CRP set (+/-1 responses): the
+/// degree <= 1 entries of boolfn::estimate_coefficients_from_data.
 ChowParameters estimate_chow(const std::vector<BitVec>& challenges,
                              const std::vector<int>& responses);
 
-/// Exact Chow parameters of a materialised function.
+/// Exact Chow parameters of a materialised function: the degree <= 1
+/// entries of boolfn::FourierSpectrum::of.
 ChowParameters exact_chow(const boolfn::TruthTable& table);
 
 struct ChowReconstructionConfig {

@@ -37,9 +37,6 @@ class DfaTeacher {
   std::size_t membership_queries() const { return mq_; }
   std::size_t equivalence_queries() const { return eq_; }
 
-  /// Per-phase reset (the global DFA-oracle counters keep running).
-  void reset_counts() { mq_ = eq_ = 0; }
-
  protected:
   void count_mq() {
     ++mq_;

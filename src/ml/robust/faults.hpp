@@ -50,13 +50,6 @@ class QueryBudgetExhaustedError final : public OracleFaultError {
   using OracleFaultError::OracleFaultError;
 };
 
-/// A learner's iteration cap expired mid-learning (thrown by the robust L*
-/// teacher wrapper, never by FaultyMembershipOracle itself).
-class IterationCapError final : public OracleFaultError {
- public:
-  using OracleFaultError::OracleFaultError;
-};
-
 struct FaultConfig {
   /// i.i.d. classification-noise rate η: each answered query flips with
   /// this probability, independently of everything else.

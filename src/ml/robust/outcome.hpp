@@ -19,9 +19,6 @@ enum class LearnStatus {
   /// The oracle's query budget tripped before the learner had what it
   /// needed; best_hypothesis is trained on whatever was collected.
   budget_exhausted,
-  /// The learner's iteration cap expired before it finished (L*'s
-  /// equivalence-round cap).
-  iteration_cap,
   /// The learner ran to completion inside its budgets but the hypothesis
   /// still misses the target — the channel's noise floor won.
   noise_ceiling,
@@ -33,8 +30,6 @@ constexpr const char* to_string(LearnStatus status) {
       return "converged";
     case LearnStatus::budget_exhausted:
       return "budget_exhausted";
-    case LearnStatus::iteration_cap:
-      return "iteration_cap";
     case LearnStatus::noise_ceiling:
       return "noise_ceiling";
   }

@@ -119,10 +119,15 @@ JsonWriter& JsonWriter::null_value() {
   return *this;
 }
 
-const std::string& JsonWriter::str() const {
+const std::string& JsonWriter::str() const& {
   PITFALLS_REQUIRE(stack_.empty() && root_written_,
                    "document incomplete: unclosed container or no root");
   return out_;
+}
+
+std::string JsonWriter::str() && {
+  (void)str();  // *this is an lvalue here: the const& overload's check
+  return std::move(out_);
 }
 
 std::string JsonWriter::escape(std::string_view raw) {

@@ -48,7 +48,9 @@ class JsonWriter {
   JsonWriter& null_value();
 
   /// The finished document; all containers must be closed.
-  const std::string& str() const;
+  const std::string& str() const&;
+  /// The same, moved out of a writer that is done with it.
+  std::string str() &&;
 
   /// Escape `raw` for embedding between JSON quotes (no surrounding quotes).
   static std::string escape(std::string_view raw);

@@ -35,13 +35,6 @@ inline constexpr const char* kRegistered[] = {
     "circuit.simplify",  // span
     "circuit.simplify.calls",  // counter
     "circuit.simplify.gates_removed",  // counter
-    "core.eval_seconds",  // timer
-    "core.evaluate",  // span
-    "core.evaluate.test",  // span
-    "core.evaluate.train",  // span
-    "core.evaluations",  // counter
-    "core.learning_curve",  // span
-    "core.train_seconds",  // histogram
     "lock.antisat",  // span
     "lock.antisat.block_gates",  // counter
     "lock.fsm.obf_states",  // counter

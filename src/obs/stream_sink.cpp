@@ -7,9 +7,8 @@
 
 namespace pitfalls::obs {
 
-StreamingReporter::StreamingReporter(JsonLineSink& sink,
-                                     std::vector<std::string> prefixes)
-    : sink_(&sink), prefixes_(std::move(prefixes)) {
+StreamingReporter::StreamingReporter(std::vector<std::string> prefixes)
+    : prefixes_(std::move(prefixes)) {
   PITFALLS_REQUIRE(!prefixes_.empty(),
                    "streaming reporter needs at least one counter prefix");
   for (const auto& [name, value] :
@@ -27,7 +26,7 @@ bool StreamingReporter::in_scope(const std::string& name) const {
   return false;
 }
 
-bool StreamingReporter::emit_delta(std::string_view scope) {
+std::string StreamingReporter::emit_delta(std::string_view scope) {
   JsonWriter writer;
   writer.begin_object();
   writer.key("type").value("obs");
@@ -51,8 +50,7 @@ bool StreamingReporter::emit_delta(std::string_view scope) {
   }
   writer.end_object();
   writer.end_object();
-  if (changed) sink_->write_line(writer.str());
-  return changed;
+  return changed ? std::move(writer).str() : std::string();
 }
 
 }  // namespace pitfalls::obs

@@ -1,18 +1,16 @@
-// Streaming (non-terminal) observability sink — DESIGN.md §16.
+// Streaming (non-terminal) observability reporter — DESIGN.md §16.
 //
 // BenchReporter is terminal: it accumulates tables and writes one JSON
 // document at finish(). A long-running service never reaches finish(), so
-// the serve plane needs the dual: a sink that accepts one complete JSON
-// document per line, emitted incrementally while the process keeps running.
-//
-//   * JsonLineSink — the emission interface. The serve daemon adapts its
-//     wire channel to it, so obs lines interleave with protocol traffic.
-//   * StreamingReporter — emits *deltas* of the global counter registry,
-//     filtered to caller-chosen name prefixes. Deltas make the stream
-//     composable: each line carries exactly what happened since the last
-//     emit, so a reader can fold them without knowing process history, and
-//     a byte-comparison of two streams compares per-window work, not
-//     absolute counter positions.
+// the serve plane needs the dual: StreamingReporter renders one complete
+// JSON document per call, while the process keeps running, and the caller
+// writes it (the serve daemon onto its wire, so obs lines interleave with
+// protocol traffic). Each document carries the *deltas* of the global
+// counter registry, filtered to caller-chosen name prefixes. Deltas make
+// the stream composable: each line carries exactly what happened since
+// the last emit, so a reader can fold them without knowing process
+// history, and a byte-comparison of two streams compares per-window work,
+// not absolute counter positions.
 //
 // Determinism: the reporter emits counters only (never gauges/histograms —
 // those carry wall-clock and pool-size values) and only under the given
@@ -30,31 +28,22 @@
 
 namespace pitfalls::obs {
 
-/// Accepts one complete JSON document per call; the implementation frames
-/// it (newline-delimited on a wire, appended to a log, ...) and flushes.
-class JsonLineSink {
- public:
-  virtual ~JsonLineSink() = default;
-  virtual void write_line(std::string_view json_document) = 0;
-};
-
 /// Incremental counter-delta reporter over MetricsRegistry::global().
 class StreamingReporter {
  public:
   /// Counters whose name starts with any of `prefixes` are streamed; the
   /// baseline is the registry position at construction, so the first emit
   /// reports only work done after the reporter existed.
-  StreamingReporter(JsonLineSink& sink, std::vector<std::string> prefixes);
+  explicit StreamingReporter(std::vector<std::string> prefixes);
 
-  /// Emit {"type":"obs","scope":<scope>,"counters":{name:delta,...}} for
-  /// every in-prefix counter that changed since the previous emit. Writes
-  /// nothing when no counter moved. Returns true when a line was written.
-  bool emit_delta(std::string_view scope);
+  /// The line {"type":"obs","scope":<scope>,"counters":{name:delta,...}}
+  /// over every in-prefix counter that changed since the previous emit;
+  /// empty when no counter moved.
+  std::string emit_delta(std::string_view scope);
 
  private:
   bool in_scope(const std::string& name) const;
 
-  JsonLineSink* sink_;
   std::vector<std::string> prefixes_;
   std::map<std::string, std::uint64_t> last_;
 };

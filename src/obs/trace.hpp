@@ -1,6 +1,7 @@
 // Thread-aware hierarchical tracing: RAII TraceSpan instances nest through
 // a Tracer, plus zero-duration instant events and sampled counter events.
-// ScopedTimer (below) feeds a wall-clock Histogram on scope exit.
+// ScopedTimer (below) feeds a wall-clock Histogram on scope exit, and
+// Stopwatch reads the same clock for a bench's reported seconds.
 //
 // Thread model: every thread owns its span stack and its event ring, so
 // spans may be opened from pool workers and the calling thread
@@ -201,6 +202,21 @@ class ScopedTimer {
   Histogram* sink_;
   std::chrono::steady_clock::time_point start_;
   bool armed_ = true;
+};
+
+/// Wall-clock stopwatch for reported runtimes (a table's "seconds"
+/// column). Diagnostics only: no result may branch on it.
+class Stopwatch {
+ public:
+  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
+  double seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace pitfalls::obs

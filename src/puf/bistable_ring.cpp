@@ -42,7 +42,11 @@ BistableRingConfig BistableRingConfig::paper_instance(std::size_t bits) {
 BistableRingPuf::BistableRingPuf(const BistableRingConfig& config,
                                  support::Rng& rng)
     : config_(config), linear_(config.bits) {
-  PITFALLS_REQUIRE(config.bits >= 4, "a BR PUF needs at least 4 stages");
+  // The interaction terms below are 2n distinct pairs and n distinct
+  // triples, drawn by rejection: C(n,2) >= 2n and C(n,3) >= n first hold
+  // together at n = 5 (at n = 4 only six pairs exist and the draw would
+  // never finish).
+  PITFALLS_REQUIRE(config.bits >= 5, "a BR PUF needs at least 5 stages");
   PITFALLS_REQUIRE(config.nonlinear_share >= 0.0 &&
                        config.nonlinear_share < 1.0,
                    "nonlinear share must be in [0,1)");

@@ -23,6 +23,7 @@
 namespace pitfalls::puf {
 
 struct BistableRingConfig {
+  /// Ring stages; at least 5, so the distinct supports below exist.
   std::size_t bits = 16;
   /// Fraction of the response-polynomial variance carried by the
   /// interaction terms (2*bits random degree-2 and bits random degree-3

@@ -234,8 +234,8 @@ double CrpSet::accuracy_of(const boolfn::BooleanFunction& f) const {
 double CrpSet::accuracy_of(
     const std::function<int(const BitVec&)>& predictor) const {
   PITFALLS_REQUIRE(!empty(), "accuracy over an empty CRP set");
-  // The held-out accuracy pass of core::evaluate funnels through here, so
-  // fan the agreement count out over examples. Integer reduction combined in
+  // A held-out pass calls the predictor once per example, so fan the
+  // agreement count out over examples. Integer reduction combined in
   // chunk order: exact for any thread count. The predictor is invoked
   // concurrently and must be const-thread-safe (every hypothesis class in
   // the library has a pure eval).

@@ -5,16 +5,11 @@
 #include "obs/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/require.hpp"
+#include "support/rng.hpp"
 
 namespace pitfalls::sat {
 
 namespace {
-
-std::uint64_t splitmix64_mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 struct PortfolioMetrics {
   obs::Counter& solves;
@@ -38,8 +33,9 @@ SolverConfig diversified_config(std::size_t w) {
   SolverConfig c;
   // Every worker gets its own random-decision stream seed regardless of
   // diversification, so enabling random decisions later stays decorrelated.
-  c.seed = splitmix64_mix(kPortfolioSeed +
-                          0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(w) + 1));
+  c.seed = support::splitmix64_mix(
+      kPortfolioSeed +
+      0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(w) + 1));
   if (w == 0) return c;  // reference configuration
 
   // Pure functions of the worker index: polarity flips on odd workers,

@@ -5,6 +5,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/require.hpp"
+#include "support/rng.hpp"
 
 namespace pitfalls::sat {
 
@@ -19,14 +20,6 @@ constexpr std::size_t kLbdWindow = 50;
 // long searches from growing the (raw-sample) histogram unboundedly while
 // staying a deterministic first-N policy.
 constexpr std::size_t kMaxLbdSamples = 4096;
-
-std::uint64_t splitmix64_step(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 /// Luby sequence value at 0-based index x: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 …
 std::uint64_t luby_value(std::uint64_t x) {
@@ -213,7 +206,9 @@ std::uint8_t Solver::value_of(Lit literal) const {
   return literal.negated() ? static_cast<std::uint8_t>(1 - a) : a;
 }
 
-std::uint64_t Solver::next_random() { return splitmix64_step(random_state_); }
+std::uint64_t Solver::next_random() {
+  return support::splitmix64_next(random_state_);
+}
 
 bool Solver::add_clause(std::vector<Lit> literals) {
   PITFALLS_REQUIRE(trail_lim_.empty(), "clauses may only be added at level 0");

@@ -17,6 +17,13 @@ namespace {
 // section's bytes verbatim).
 const std::string kJournal = "jobs";
 
+/// Write the obs line of the counters that moved since the last one, if
+/// any did.
+void write_obs_delta(LineChannel& channel, obs::StreamingReporter& reporter) {
+  const std::string delta = reporter.emit_delta("wave");
+  if (!delta.empty()) channel.write_line(delta);
+}
+
 }  // namespace
 
 Daemon::Daemon(const DaemonConfig& config)
@@ -185,7 +192,7 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
 int Daemon::drain(LineChannel& channel, obs::StreamingReporter& reporter,
                   bool terminated) {
   if (!terminated) run_pending(channel);
-  reporter.emit_delta("wave");
+  write_obs_delta(channel, reporter);
   if (session_) session_->flush();
   obs::JsonWriter writer;
   writer.begin_object();
@@ -198,12 +205,11 @@ int Daemon::drain(LineChannel& channel, obs::StreamingReporter& reporter,
 }
 
 int Daemon::serve(LineChannel& channel) {
-  ChannelSink sink(channel);
   // Only the deterministic counter families go on the wire; the
   // serve.fleet.* cache counters depend on worker interleaving and would
   // break the byte-identical-stream contract.
   obs::StreamingReporter reporter(
-      sink, {"serve.jobs.", "serve.session.", "serve.wire."});
+      {"serve.jobs.", "serve.session.", "serve.wire."});
   emit_hello(channel);
   std::string line;
   for (;;) {
@@ -215,7 +221,7 @@ int Daemon::serve(LineChannel& channel) {
     if (line.empty()) continue;
     const Request request = handle_request(channel, line);
     if (request == Request::kDrain) break;
-    if (request == Request::kRanWave) reporter.emit_delta("wave");
+    if (request == Request::kRanWave) write_obs_delta(channel, reporter);
   }
   return drain(channel, reporter, false);
 }

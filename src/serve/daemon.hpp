@@ -46,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/stream_sink.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/token_fleet.hpp"
 #include "serve/wire.hpp"

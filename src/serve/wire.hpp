@@ -24,8 +24,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/stream_sink.hpp"
-
 namespace pitfalls::serve {
 
 class LineChannel {
@@ -75,19 +73,6 @@ class MemoryChannel final : public LineChannel {
   std::vector<std::string> input_;
   std::size_t cursor_ = 0;
   std::vector<std::string> output_;
-};
-
-/// Adapts a LineChannel to the obs streaming sink so counter deltas
-/// interleave with protocol traffic on the same wire.
-class ChannelSink final : public obs::JsonLineSink {
- public:
-  explicit ChannelSink(LineChannel& channel) : channel_(&channel) {}
-  void write_line(std::string_view json_document) override {
-    channel_->write_line(json_document);
-  }
-
- private:
-  LineChannel* channel_;
 };
 
 /// The protocol's error document: {"type":"error","id":...,"message":...},

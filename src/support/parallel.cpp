@@ -21,12 +21,6 @@ namespace {
 constexpr std::size_t kTargetChunks = 64;
 constexpr std::size_t kMinChunkSize = 64;
 
-std::uint64_t splitmix64_mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 thread_local bool tls_in_region = false;
 
 struct RegionGuard {

@@ -10,14 +10,6 @@ namespace pitfalls::support {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -26,7 +18,7 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
+  for (auto& word : state_) word = splitmix64_next(s);
   has_spare_ = false;
 }
 

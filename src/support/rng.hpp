@@ -16,6 +16,22 @@ namespace pitfalls::support {
 
 class BitVec;
 
+/// SplitMix64's output finalizer: a bijective 64-bit scramble. Seeds
+/// derived through it (chunk streams, portfolio workers) are part of the
+/// reproduced numbers, so its constants are frozen.
+inline std::uint64_t splitmix64_mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// One SplitMix64 step: advance `state` by the golden-ratio increment and
+/// return the finalized value.
+inline std::uint64_t splitmix64_next(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  return splitmix64_mix(state);
+}
+
 /// xoshiro256** engine with convenience draws used throughout the library.
 class Rng {
  public:

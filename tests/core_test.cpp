@@ -1,29 +1,16 @@
 // Tests for pitfalls::core: the Table I bound formulas, adversary-model
-// algebra, the pitfall auditor and the experiment harness.
+// algebra and the pitfall auditor.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/adversary.hpp"
 #include "core/bounds.hpp"
-#include "core/experiment.hpp"
 #include "core/pitfalls.hpp"
-#include "ml/features.hpp"
-#include "ml/perceptron.hpp"
-#include "puf/arbiter.hpp"
-#include "puf/crp.hpp"
-#include "support/rng.hpp"
 
 namespace {
 
 using namespace pitfalls::core;
-using pitfalls::puf::ArbiterPuf;
-using pitfalls::puf::CrpSet;
-using pitfalls::support::Rng;
-
-// The harness is dataset-generic (core sits below puf in the module DAG);
-// the tests instantiate it with the CRP-set dataset every bench uses.
-using Trainer = pitfalls::core::TrainerFor<CrpSet>;
 
 // --------------------------------------------------------------- bounds
 
@@ -202,71 +189,6 @@ TEST(Auditor, StringsAreHumanReadable) {
   EXPECT_EQ(to_string(PitfallKind::kDistributionMismatch),
             "distribution mismatch");
   EXPECT_EQ(to_string(Severity::kCritical), "critical");
-}
-
-// ------------------------------------------------------------ experiment
-
-TEST(Experiment, EvaluateReportsBothAccuracies) {
-  Rng rng(1);
-  const ArbiterPuf puf(16, 0.0, rng);
-  Rng collect(2);
-  const CrpSet all = CrpSet::collect_uniform(puf, 1500, collect);
-  const auto [train, test] = all.split_at(1000);
-
-  Rng train_rng(3);
-  const Trainer trainer = [&train_rng](const CrpSet& data) {
-    pitfalls::ml::Perceptron learner;
-    auto model = learner.fit_model(data.challenges(), data.responses(),
-                                   pitfalls::ml::parity_with_bias, train_rng);
-    return std::make_unique<pitfalls::ml::LinearModel>(std::move(model));
-  };
-  const auto report = evaluate(trainer, train, test);
-  EXPECT_EQ(report.train_size, 1000u);
-  EXPECT_EQ(report.test_size, 500u);
-  EXPECT_GT(report.train_accuracy, 0.95);
-  EXPECT_GT(report.test_accuracy, 0.9);
-  EXPECT_GE(report.train_seconds, 0.0);
-}
-
-TEST(Experiment, LearningCurveImprovesWithBudget) {
-  Rng rng(5);
-  const ArbiterPuf puf(24, 0.0, rng);
-  Rng collect(6);
-  const CrpSet all = CrpSet::collect_uniform(puf, 4500, collect);
-  const auto [train, test] = all.split_at(4000);
-
-  Rng train_rng(7);
-  const Trainer trainer = [&train_rng](const CrpSet& data) {
-    pitfalls::ml::Perceptron learner;
-    auto model = learner.fit_model(data.challenges(), data.responses(),
-                                   pitfalls::ml::parity_with_bias, train_rng);
-    return std::make_unique<pitfalls::ml::LinearModel>(std::move(model));
-  };
-  const auto curve = learning_curve(trainer, train, test, {50, 400, 4000});
-  ASSERT_EQ(curve.size(), 3u);
-  EXPECT_GT(curve[2].test_accuracy, curve[0].test_accuracy);
-  EXPECT_GT(curve[2].test_accuracy, 0.93);
-}
-
-TEST(Experiment, MeanOfAveragesRuns) {
-  const double mean =
-      mean_of(4, [](std::size_t r) { return static_cast<double>(r); });
-  EXPECT_DOUBLE_EQ(mean, 1.5);
-  EXPECT_THROW(mean_of(0, [](std::size_t) { return 0.0; }),
-               std::invalid_argument);
-}
-
-TEST(Experiment, LearningCurveValidatesBudgets) {
-  Rng rng(9);
-  const ArbiterPuf puf(8, 0.0, rng);
-  Rng collect(10);
-  const CrpSet all = CrpSet::collect_uniform(puf, 100, collect);
-  const Trainer trainer = [](const CrpSet&) {
-    return std::make_unique<pitfalls::boolfn::FunctionView>(
-        8, [](const pitfalls::support::BitVec&) { return +1; }, "const");
-  };
-  EXPECT_THROW(learning_curve(trainer, all, all, {200}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "boolfn/truth_table.hpp"
 #include "circuit/generator.hpp"
 #include "core/bounds.hpp"
-#include "core/experiment.hpp"
 #include "core/pitfalls.hpp"
 #include "lock/combinational.hpp"
 #include "lock/fsm_obfuscation.hpp"

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,6 +60,7 @@ TEST(JsonWriterTest, ManagesCommasAndNesting) {
   w.key("c").begin_object().end_object();
   w.end_object();
   EXPECT_EQ(w.str(), "{\"a\":1,\"b\":[true,null],\"c\":{}}");
+  EXPECT_EQ(std::move(w).str(), "{\"a\":1,\"b\":[true,null],\"c\":{}}");
 }
 
 TEST(JsonWriterTest, RejectsMalformedDocuments) {
@@ -66,6 +68,7 @@ TEST(JsonWriterTest, RejectsMalformedDocuments) {
     JsonWriter w;
     w.begin_object();
     EXPECT_THROW(w.str(), std::invalid_argument);  // unclosed container
+    EXPECT_THROW(std::move(w).str(), std::invalid_argument);
   }
   {
     JsonWriter w;

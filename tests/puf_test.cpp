@@ -248,10 +248,15 @@ TEST(BistableRingPuf, DeterministicWithoutNoise) {
 }
 
 TEST(BistableRingPuf, RejectsTinyRings) {
-  Rng rng(1);
-  BistableRingConfig cfg;
-  cfg.bits = 3;
-  EXPECT_THROW(BistableRingPuf(cfg, rng), std::invalid_argument);
+  // 4 stages offer only six distinct pairs for the ring's eight pair
+  // interactions, so it must be refused, not sampled forever.
+  for (const std::size_t bits : {3, 4}) {
+    Rng rng(1);
+    BistableRingConfig cfg;
+    cfg.bits = bits;
+    EXPECT_THROW(BistableRingPuf(cfg, rng), std::invalid_argument)
+        << "bits=" << bits;
+  }
 }
 
 // ------------------------------------------------------------------ CRP
