@@ -65,7 +65,18 @@ class KeyMiter {
         engine_(sat::PortfolioConfig{.workers = portfolio_workers}),
         x_(fresh_vars(engine_, locked.num_data_inputs())),
         k1_(fresh_vars(engine_, locked.num_key_inputs())),
-        k2_(fresh_vars(engine_, locked.num_key_inputs())) {
+        k2_(fresh_vars(engine_, locked.num_key_inputs())),
+        key_by_position_(locked.num_key_inputs()) {
+    // specialize() keeps the surviving (key) inputs in netlist-position
+    // order, so an observation cone's key input `rank` is key bit
+    // key_by_position_[rank].
+    std::iota(key_by_position_.begin(), key_by_position_.end(),
+              std::size_t{0});
+    std::sort(key_by_position_.begin(), key_by_position_.end(),
+              [&locked](std::size_t a, std::size_t b) {
+                return locked.key_input_positions[a] <
+                       locked.key_input_positions[b];
+              });
     const sat::CircuitEncoding enc1 = sat::encode_netlist(
         engine_, locked.netlist, mix_inputs(locked, x_, k1_));
     const sat::CircuitEncoding enc2 = sat::encode_netlist(
@@ -87,10 +98,26 @@ class KeyMiter {
     return dip;
   }
 
-  /// Both key copies must agree with the oracle's observation (x, y).
+  /// Both key copies must agree with the oracle's observation (x, y):
+  /// "locked(x, K) == y" for K = k1 and K = k2.
+  ///
+  /// The data word is burned into the netlist (circuit::specialize) and the
+  /// result constant-propagated (circuit::simplify) once, and that cone is
+  /// encoded over each key copy, so each observation costs only its
+  /// key-dependent cone instead of a full netlist copy — on the bench
+  /// circuits the cone is a small fraction of the circuit, which is what
+  /// keeps the incremental encoding compact across hundreds of DIPs.
   void observe(const BitVec& x, const BitVec& y) {
-    constrain(k1_, x, y);
-    constrain(k2_, x, y);
+    PITFALLS_REQUIRE(x.size() == x_.size(),
+                     "observation input arity mismatch");
+    std::vector<std::pair<std::size_t, bool>> pins;
+    pins.reserve(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      pins.emplace_back(locked_.data_input_positions[i], x.get(i));
+    const circuit::Netlist cone =
+        circuit::simplify(circuit::specialize(locked_.netlist, pins));
+    constrain(cone, k1_, y);
+    constrain(cone, k2_, y);
   }
 
   /// Any key consistent with every observation, read from the k1 copy.
@@ -106,39 +133,12 @@ class KeyMiter {
   const sat::PortfolioSolver& engine() const { return engine_; }
 
  private:
-  /// Add "locked(x, K) == y" over one key copy K.
-  ///
-  /// The data word is burned into the netlist (circuit::specialize) and the
-  /// result constant-propagated (circuit::simplify) before encoding, so each
-  /// observation costs only its key-dependent cone instead of a full netlist
-  /// copy — on the bench circuits the cone is a small fraction of the
-  /// circuit, which is what keeps the incremental encoding compact across
-  /// hundreds of DIPs.
-  void constrain(const std::vector<Var>& key_vars, const BitVec& x,
-                 const BitVec& y) {
-    PITFALLS_REQUIRE(x.size() == x_.size(),
-                     "observation input arity mismatch");
-    std::vector<std::pair<std::size_t, bool>> pins;
-    pins.reserve(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-      pins.emplace_back(locked_.data_input_positions[i], x.get(i));
-    const circuit::Netlist cone =
-        circuit::simplify(circuit::specialize(locked_.netlist, pins));
-
-    // specialize() keeps the surviving (key) inputs in netlist-position
-    // order; key bit j therefore lands at the rank of its position among all
-    // key positions.
-    std::vector<std::size_t> by_position(key_vars.size());
-    std::iota(by_position.begin(), by_position.end(), std::size_t{0});
-    std::sort(by_position.begin(), by_position.end(),
-              [this](std::size_t a, std::size_t b) {
-                return locked_.key_input_positions[a] <
-                       locked_.key_input_positions[b];
-              });
+  /// Add "cone(K) == y" over one key copy K.
+  void constrain(const circuit::Netlist& cone,
+                 const std::vector<Var>& key_vars, const BitVec& y) {
     std::vector<Var> shared(key_vars.size());
-    for (std::size_t rank = 0; rank < by_position.size(); ++rank)
-      shared[rank] = key_vars[by_position[rank]];
-
+    for (std::size_t rank = 0; rank < key_by_position_.size(); ++rank)
+      shared[rank] = key_vars[key_by_position_[rank]];
     const sat::CircuitEncoding enc =
         sat::encode_netlist(engine_, cone, shared);
     PITFALLS_ENSURE(enc.output_vars.size() == y.size(),
@@ -152,6 +152,7 @@ class KeyMiter {
   std::vector<Var> x_;
   std::vector<Var> k1_;
   std::vector<Var> k2_;
+  std::vector<std::size_t> key_by_position_;
   std::vector<sat::Lit> want_dip_;
 };
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "ml/portable_tanh.hpp"
 #include "ml/xor_model.hpp"
 #include "obs/trace.hpp"
 #include "support/require.hpp"
@@ -223,21 +224,17 @@ LinearModel LogisticRegression::fit_model(
   std::vector<std::size_t> samples(x.m);
   std::iota(samples.begin(), samples.end(), std::size_t{0});
 
-  double loss = 0.0;
   std::size_t iter = 0;
   for (; iter < config_.max_iters; ++iter) {
-    // Negative log-likelihood with +/-1 labels: sum log(1 + exp(-y w.x)).
+    // Gradient of the negative log-likelihood with +/-1 labels,
+    // sum log(1 + exp(-y w.x)): sample s contributes -y sigma(-z) x_s.
     score_pass(x, w.data(), 1, scores.data());
-    loss = 0.0;
     for (std::size_t s = 0; s < x.m; ++s) {
       const double y = static_cast<double>(responses[s]);
       const double z = y * scores[s];
-      // Stable log(1+exp(-z)) and sigma(-z).
-      const double nll = z > 0 ? std::log1p(std::exp(-z))
-                               : -z + std::log1p(std::exp(z));
-      loss += nll / m;
-      const double sig = z > 0 ? std::exp(-z) / (1.0 + std::exp(-z))
-                               : 1.0 / (1.0 + std::exp(z));
+      // Stable sigma(-z) from the one exp(-|z|).
+      const double e = std::exp(z > 0 ? -z : z);
+      const double sig = z > 0 ? e / (1.0 + e) : 1.0 / (1.0 + e);
       factors[s] = -y * sig / m;
     }
     std::fill(grad.begin(), grad.end(), 0.0);
@@ -247,6 +244,18 @@ LinearModel LogisticRegression::fit_model(
     for (auto g : grad) grad_norm += g * g;
     if (std::sqrt(grad_norm) < kLogisticTolerance) break;
     rprop_update(kLogisticSteps, grad, prev_grad, step, w);
+  }
+
+  // The loss of the last scored weights: the weights the loop stopped at,
+  // or, after max_iters, those before the last step.
+  double loss = 0.0;
+  if (config_.max_iters > 0) {
+    for (std::size_t s = 0; s < x.m; ++s) {
+      const double z = static_cast<double>(responses[s]) * scores[s];
+      // Stable log(1 + exp(-z)).
+      const double e = std::exp(z > 0 ? -z : z);
+      loss += (z > 0 ? std::log1p(e) : -z + std::log1p(e)) / m;
+    }
   }
 
   registry.counter("ml.logistic.fits").add(1);
@@ -287,6 +296,7 @@ XorChainModel XorModelAttack::fit(const std::vector<BitVec>& challenges,
   std::vector<double> w(k * dim), step(k * dim), prev_grad(k * dim),
       grad(k * dim);
   std::vector<double> scores(k * x.stride);  // [j * stride + s]
+  std::vector<double> tanhs(k * x.stride);   // tanh of each score
   std::vector<double> factors(m * k);        // [s * k + j]
   std::vector<std::size_t> contributing(m);  // samples the gradient adds
   std::vector<double> t(k);                  // one sample's tanh(s_j)
@@ -323,11 +333,12 @@ XorChainModel XorModelAttack::fit(const std::vector<BitVec>& challenges,
       // Batch gradient of NLL = -sum log((1 + y*yhat)/2) with
       // yhat = prod_j tanh(s_j), s_j = w_j . x.
       if (!scored) score_pass(x, w.data(), k, scores.data());
+      portable_tanh(scores, tanhs);
       std::size_t count = 0;
       for (std::size_t s = 0; s < m; ++s) {
         double yhat = 1.0;
         for (std::size_t j = 0; j < k; ++j) {
-          t[j] = std::tanh(scores[j * x.stride + s]);
+          t[j] = tanhs[j * x.stride + s];
           yhat *= t[j];
         }
         const double y = static_cast<double>(responses[s]);

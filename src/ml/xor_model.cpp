@@ -1,8 +1,8 @@
 #include "ml/xor_model.hpp"
 
-#include <cmath>
 #include <sstream>
 
+#include "ml/portable_tanh.hpp"
 #include "support/require.hpp"
 
 namespace pitfalls::ml {
@@ -29,7 +29,7 @@ double XorChainModel::soft_response(const BitVec& x) const {
   for (const auto& w : weights_) {
     double score = 0.0;
     for (std::size_t i = 0; i < phi.size(); ++i) score += w[i] * phi[i];
-    product *= std::tanh(score);
+    product *= portable_tanh(score);
   }
   return product;
 }

@@ -3,13 +3,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "ml/portable_tanh.hpp"
 #include "ml/xor_model.hpp"
 #include "puf/crp.hpp"
 #include "puf/xor_arbiter.hpp"
 #include "support/rng.hpp"
+#include "support/snapshot/snapshot.hpp"
 
 namespace {
 
@@ -31,7 +37,8 @@ struct LegacyXorConfig : XorModelConfig {
 
 // The scalar XorModelAttack::fit that preceded the vectorised one, kept
 // verbatim (member names included) as the reference the library's fit must
-// reproduce bit for bit.
+// reproduce bit for bit. Only its tanh is the library's, portable_tanh: the
+// fit takes the same function of the same scores.
 std::vector<std::vector<double>> reference_fit(
     const LegacyXorConfig& config_, const std::vector<BitVec>& challenges,
     const std::vector<int>& responses, const FeatureMap& features, Rng& rng,
@@ -85,7 +92,7 @@ std::vector<std::vector<double>> reference_fit(
         for (std::size_t j = 0; j < k; ++j) {
           double score = 0.0;
           for (std::size_t i = 0; i < dim; ++i) score += w[j][i] * X[s][i];
-          t[j] = std::tanh(score);
+          t[j] = portable_tanh(score);
           yhat *= t[j];
         }
         const double y = static_cast<double>(responses[s]);
@@ -452,13 +459,183 @@ TEST(XorAttackBitIdentity, MatchesReferenceWhenSamplesSaturate) {
     for (const auto& chain : w) {
       double score = 0.0;
       for (std::size_t i = 0; i < phi.size(); ++i) score += chain[i] * phi[i];
-      yhat *= std::tanh(score);
+      yhat *= portable_tanh(score);
     }
     if (1.0 + train.response(s) * yhat < 1e-9) ++skipped;
   }
   ASSERT_GT(skipped, 0u);
 
   expect_fit_matches_reference(config, train, parity_with_bias, 73);
+}
+
+// portable_tanh, the one tanh of the fit and the model.
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+/// |got - tanh(x)| in units in the last place of the exact value, which the
+/// long double tanh gives to about 11 more bits than a double holds.
+long double ulps_from_exact(double x, double got) {
+  const long double exact = std::tanh(static_cast<long double>(x));
+  int exponent = 0;  // |exact| in [2^(exponent - 1), 2^exponent)
+  (void)std::frexp(exact, &exponent);
+  const long double ulp = std::ldexp(1.0L, std::max(exponent - 53, -1074));
+  return std::fabs(static_cast<long double>(got) - exact) / ulp;
+}
+
+/// The results' bits, little-endian, as crc32 input.
+std::string result_bytes(const std::vector<double>& results) {
+  std::string bytes;
+  bytes.reserve(results.size() * sizeof(double));
+  for (const double r : results)
+    for (std::size_t b = 0; b < sizeof(double); ++b)
+      bytes.push_back(static_cast<char>((bits_of(r) >> (8 * b)) & 0xffu));
+  return bytes;
+}
+
+TEST(PortableTanh, WithinTwoUlpOfTheExactValue) {
+  if (std::numeric_limits<long double>::digits <=
+      std::numeric_limits<double>::digits)
+    GTEST_SKIP() << "long double is no wider than double here";
+  std::vector<double> points;
+  Rng rng(2025);
+  for (int i = 0; i < 400000; ++i)
+    points.push_back(rng.uniform_real(-25.0, 25.0));
+  for (int i = 0; i < 400000; ++i) points.push_back(rng.gaussian(0.0, 2.0));
+  // Magnitudes 1e-330 (which underflows to 0) to 1e3, log-spaced.
+  constexpr int kLogSteps = 100000;
+  for (int i = 0; i < kLogSteps; ++i) {
+    const double magnitude =
+        std::pow(10.0, -330.0 + 333.0 * i / (kLogSteps - 1));
+    points.push_back(magnitude);
+    points.push_back(-magnitude);
+  }
+  // The switch from the rational to the exp form, and its neighbours.
+  points.push_back(0.625);
+  double below = 0.625, above = 0.625;
+  for (int i = 0; i < 1000; ++i) {
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, 1.0);
+    points.push_back(below);
+    points.push_back(above);
+  }
+  ASSERT_GE(points.size(), 1000000u);
+
+  std::vector<double> block(points.size());
+  portable_tanh(points, block);
+  long double worst = 0.0L;
+  double worst_x = 0.0;
+  std::size_t block_mismatches = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const double got = portable_tanh(points[i]);
+    if (bits_of(got) != bits_of(block[i])) ++block_mismatches;
+    const long double error = ulps_from_exact(points[i], got);
+    if (error > worst) {
+      worst = error;
+      worst_x = points[i];
+    }
+  }
+  EXPECT_LE(worst, 2.0L) << "at x = " << worst_x;
+  EXPECT_EQ(block_mismatches, 0u);
+}
+
+TEST(PortableTanh, SpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  EXPECT_EQ(bits_of(portable_tanh(0.0)), bits_of(0.0));
+  EXPECT_EQ(bits_of(portable_tanh(-0.0)), bits_of(-0.0));
+  EXPECT_EQ(bits_of(portable_tanh(kInf)), bits_of(1.0));
+  EXPECT_EQ(bits_of(portable_tanh(-kInf)), bits_of(-1.0));
+  EXPECT_TRUE(std::isnan(portable_tanh(kNan)));
+  EXPECT_TRUE(std::isnan(portable_tanh(-kNan)));
+  // From |x| = 19.1 on, tanh rounds to exactly +-1.
+  for (double x = 19.1; x < kMax / 2; x *= 1.25) {
+    EXPECT_EQ(bits_of(portable_tanh(x)), bits_of(1.0)) << x;
+    EXPECT_EQ(bits_of(portable_tanh(-x)), bits_of(-1.0)) << x;
+  }
+  EXPECT_EQ(bits_of(portable_tanh(kMax)), bits_of(1.0));
+
+  // Odd, bit for bit.
+  Rng rng(7);
+  std::size_t asymmetric = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double x = rng.gaussian(0.0, 4.0);
+    if (bits_of(portable_tanh(-x)) != bits_of(-portable_tanh(x))) ++asymmetric;
+  }
+  EXPECT_EQ(asymmetric, 0u);
+
+  // The block form agrees on every special value, NaN included.
+  const std::vector<double> specials = {
+      0.0,  -0.0,  kInf,  -kInf, kNan, -kNan, 19.1, -19.1, kMax,
+      -kMax, 0.625, -0.625, std::numeric_limits<double>::denorm_min()};
+  std::vector<double> block(specials.size());
+  portable_tanh(specials, block);
+  for (std::size_t i = 0; i < specials.size(); ++i) {
+    const double scalar = portable_tanh(specials[i]);
+    EXPECT_EQ(std::isnan(block[i]), std::isnan(scalar)) << specials[i];
+    if (!std::isnan(scalar)) {
+      EXPECT_EQ(bits_of(block[i]), bits_of(scalar)) << specials[i];
+    }
+  }
+}
+
+TEST(PortableTanh, BlockMatchesScalarAtEveryOffsetAndLength) {
+  Rng rng(11);
+  std::vector<double> values(40);
+  for (auto& v : values) v = rng.gaussian(0.0, 3.0);
+  values[3] = -0.0;
+  values[9] = std::numeric_limits<double>::infinity();
+  values[10] = 0.625;
+  values[17] = -30.0;
+  constexpr double kSentinel = 42.0;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; offset + length <= values.size();
+         ++length) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " length " +
+                   std::to_string(length));
+      std::vector<double> out(values.size() + 8, kSentinel);
+      portable_tanh(std::span<const double>(values).subspan(offset, length),
+                    std::span<double>(out).subspan(offset, length));
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        if (i >= offset && i < offset + length)
+          ASSERT_EQ(bits_of(out[i]), bits_of(portable_tanh(values[i])));
+        else
+          ASSERT_EQ(out[i], kSentinel) << "wrote past the span at " << i;
+      }
+    }
+  }
+  std::vector<double> out(3);
+  EXPECT_THROW(
+      portable_tanh(std::span<const double>(values).first(4), out),
+      std::invalid_argument);
+}
+
+TEST(PortableTanh, PinnedDigestOverAFixedGrid) {
+  // x = i / 2048 on [-16, 16], both forms and the saturating range, then
+  // (1 + j / 16) * 2^e for small and mid magnitudes of both signs. A build
+  // whose kernel rounds any step differently (a fused multiply-add, a
+  // reordered polynomial) moves the digest.
+  std::vector<double> grid;
+  for (int i = -32768; i <= 32768; ++i) grid.push_back(i / 2048.0);
+  for (int e = -1074; e <= 6; ++e)
+    for (int j = 0; j < 16; ++j) {
+      const double x = std::ldexp(1.0 + j / 16.0, e);
+      grid.push_back(x);
+      grid.push_back(-x);
+    }
+  std::vector<double> scalar(grid.size()), block(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    scalar[i] = portable_tanh(grid[i]);
+  portable_tanh(grid, block);
+  constexpr std::uint32_t kPinned = 0xa86a9488u;
+  EXPECT_EQ(pitfalls::support::snapshot::crc32(result_bytes(scalar)),
+            kPinned);
+  EXPECT_EQ(pitfalls::support::snapshot::crc32(result_bytes(block)),
+            kPinned);
 }
 
 }  // namespace
